@@ -44,6 +44,22 @@ uint64_t Gcd(uint64_t a, uint64_t b) {
   return a;
 }
 
+/// (a * b) mod m with one native 64x64 -> 128-bit product and one division.
+uint64_t MulMod64(uint64_t a, uint64_t b, uint64_t m) {
+  return static_cast<uint64_t>(static_cast<uint128>(a) * b % m);
+}
+
+uint64_t PowMod64(uint64_t base, uint64_t exp, uint64_t m) {
+  uint64_t result = 1 % m;
+  base %= m;
+  while (exp > 0) {
+    if (exp & 1) result = MulMod64(result, base, m);
+    base = MulMod64(base, base, m);
+    exp >>= 1;
+  }
+  return result;
+}
+
 /// Modular inverse via extended Euclid; returns 0 when not invertible.
 uint64_t InvMod(uint64_t a, uint64_t m) {
   int64_t t = 0, new_t = 1;
@@ -62,7 +78,17 @@ uint64_t InvMod(uint64_t a, uint64_t m) {
   return static_cast<uint64_t>(t);
 }
 
-bool IsPrime(uint64_t n) {
+uint64_t NextPrime(uint64_t start) {
+  uint64_t n = start | 1;
+  while (!IsPrimeU64(n)) n += 2;
+  return n;
+}
+
+uint64_t Lcm(uint64_t a, uint64_t b) { return a / Gcd(a, b) * b; }
+
+}  // namespace
+
+bool IsPrimeU64(uint64_t n) {
   if (n < 2) return false;
   for (uint64_t d : {2ull, 3ull, 5ull, 7ull, 11ull, 13ull, 17ull, 19ull,
                      23ull, 29ull, 31ull, 37ull}) {
@@ -77,11 +103,11 @@ bool IsPrime(uint64_t n) {
   }
   for (uint64_t a : {2ull, 3ull, 5ull, 7ull, 11ull, 13ull, 17ull, 19ull,
                      23ull, 29ull, 31ull, 37ull}) {
-    uint128 x = PowMod(a % n, d, n);
+    uint64_t x = PowMod64(a % n, d, n);
     if (x == 1 || x == n - 1) continue;
     bool witness = true;
     for (int i = 0; i < s - 1; ++i) {
-      x = MulMod(x, x, n);
+      x = MulMod64(x, x, n);
       if (x == n - 1) {
         witness = false;
         break;
@@ -91,16 +117,6 @@ bool IsPrime(uint64_t n) {
   }
   return true;
 }
-
-uint64_t NextPrime(uint64_t start) {
-  uint64_t n = start | 1;
-  while (!IsPrime(n)) n += 2;
-  return n;
-}
-
-uint64_t Lcm(uint64_t a, uint64_t b) { return a / Gcd(a, b) * b; }
-
-}  // namespace
 
 PaillierKey PaillierKeyGen(uint64_t seed) {
   Rng rng(seed);
@@ -220,10 +236,6 @@ uint64_t WindowPow(const Mont64& mc, uint64_t base,
     if (op.mul >= 0) acc = mc.Mul(acc, t[op.mul]);
   }
   return mc.FromMont(acc);
-}
-
-uint64_t MulMod64(uint64_t a, uint64_t b, uint64_t m) {
-  return static_cast<uint64_t>(static_cast<uint128>(a) * b % m);
 }
 
 }  // namespace

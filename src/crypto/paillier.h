@@ -34,6 +34,12 @@ struct PaillierKey {
 /// distinct keys; generation is reproducible for tests).
 PaillierKey PaillierKeyGen(uint64_t seed);
 
+/// Deterministic primality for any 64-bit n: trial division by the primes
+/// up to 37, then Miller-Rabin over those twelve witnesses, with
+/// native-width (64x64 -> 128-bit) modular products. PaillierKeyGen's prime
+/// search; exposed for the primality edge-case tests.
+bool IsPrimeU64(uint64_t n);
+
 /// Encrypts message m ∈ [0, n). `rand` supplies the blinding randomness.
 uint128 PaillierEncrypt(const PaillierKey& key, uint64_t m, uint64_t rand);
 

@@ -584,6 +584,9 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
   // the recipient's encrypted-only attributes before delivery). Checking
   // here turns "no authorized delivery exists" into a crisp kUnauthorized
   // instead of a downstream optimizer failure.
+  Span authorize = trace != nullptr
+                       ? trace->StartSpan("authorize", "plan", trace_parent)
+                       : Span();
   const RelationProfile& root_profile = entry->bound_plan->profile;
   AttrSet result_attrs;
   root_profile.vp.Union(root_profile.ve).ForEach([&](AttrId a) {
@@ -601,6 +604,7 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
         subjects_->Name(subject).c_str(),
         missing.ToString(catalog_->attrs()).c_str()));
   }
+  authorize.End();
 
   // Candidates + minimum-cost authorized assignment, routing around any
   // subject the network currently reports down.
@@ -760,6 +764,10 @@ Result<QueryResponse> QueryService::ExecuteInternal(
          config_.net->liveness_epoch() == key.net_epoch) &&
         (config_.store == nullptr ||
          config_.store->snapshot_epoch() == key.snapshot_epoch)) {
+      // Insertion may evict, and so destroy, the LRU tail's plan.
+      Span insert = trace != nullptr
+                        ? trace->StartSpan("cache_insert", "cache", root_span)
+                        : Span();
       entry = cache_.PutIfAbsent(key, std::move(*built));
     } else {
       // The policy, schema, or network liveness moved while we were

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "crypto/cipher.h"
 #include "crypto/column_codec.h"
 #include "crypto/enc_value.h"
@@ -307,6 +308,46 @@ TEST(CryptoKat, PaillierAdditiveHomomorphismFixedVectors) {
             "98106646b7a1cb817f0c6b2dbe2a2e00");
 }
 
+TEST(CryptoKat, PaillierKeyGenFixedVectors) {
+  // Frozen key generation: the full key for fixed seeds, plus a digest of
+  // the primes picked for seeds 0-999. Any change to which primes the
+  // search accepts (candidate walk, trial divisors, witnesses) fails here.
+  auto expect_key = [](uint64_t seed, uint64_t p, uint64_t q, uint64_t n,
+                       uint64_t lambda, uint64_t mu) {
+    PaillierKey key = PaillierKeyGen(seed);
+    EXPECT_EQ(key.p, p) << "seed " << seed;
+    EXPECT_EQ(key.q, q) << "seed " << seed;
+    EXPECT_EQ(key.n, n) << "seed " << seed;
+    EXPECT_EQ(key.lambda, lambda) << "seed " << seed;
+    EXPECT_EQ(key.mu, mu) << "seed " << seed;
+  };
+  expect_key(0x0ull, 1639540219ull, 1074349517ull, 1761439242384724223ull,
+             880719619835417244ull, 1402443488052279342ull);
+  expect_key(0x1ull, 1703865463ull, 2066896241ull, 3521713120644424583ull,
+             1760856558436831440ull, 3203274124271186357ull);
+  expect_key(0x2ull, 1274814019ull, 1568559929ull, 1999622187130844651ull,
+             999811092143735352ull, 998228782193866735ull);
+  expect_key(0x7ull, 1950115367ull, 2058431059ull, 4014178040065983653ull,
+             2007089018028718614ull, 1054166607078953698ull);
+  expect_key(0x2aull, 1919348999ull, 1393532771ull, 2674675729092546229ull,
+             191048266127118890ull, 1061363447426957034ull);
+  expect_key(0x4d2ull, 1307600171ull, 1539319261ull, 2012814128907193631ull,
+             201281412606027420ull, 1566462382162184091ull);
+  expect_key(0xdeadbeefull, 1101072689ull, 1310522399ull,
+             1442980421861660911ull, 721490209725032912ull,
+             1126657879748447975ull);
+  expect_key(0xffffffffffffffffull, 1542882053ull, 1920106987ull,
+             2962498610082204311ull, 1481249303309607636ull,
+             1422108895401515621ull);
+  uint64_t digest = 0;
+  for (uint64_t seed = 0; seed < 1000; ++seed) {
+    PaillierKey key = PaillierKeyGen(seed);
+    digest = SplitMix64(digest ^ key.p);
+    digest = SplitMix64(digest ^ key.q);
+  }
+  EXPECT_EQ(digest, 0x888f38dce563c6b1ull);
+}
+
 TEST(CryptoKat, DeterministicAndOpeCellFixedVectors) {
   // KeyMaterial(seed=2024, key_id=7); DET and OPE cells over int 77.
   KeyMaterial km = MakeKeyMaterial(2024, 7);
@@ -503,6 +544,87 @@ TEST(PaillierPrecompTest, InvalidKeyFallsBackGracefully) {
   KeyMaterial km = MakeKeyMaterial(5, 9);
   ASSERT_NE(km.hom_precomp, nullptr);
   EXPECT_TRUE(km.hom_precomp->valid());
+}
+
+/// One strong-probable-prime round of `n` (odd, > 2) to base `a` over the
+/// schoolbook ladder.
+bool StrongProbablePrimeRef(uint64_t n, uint64_t a) {
+  uint64_t d = n - 1;
+  int s = 0;
+  while ((d & 1) == 0) {
+    d >>= 1;
+    ++s;
+  }
+  uint128 x = PowModRef(a % n, d, n);
+  if (x == 1 || x == n - 1) return true;
+  for (int i = 0; i < s - 1; ++i) {
+    x = MulModRef(x, x, n);
+    if (x == n - 1) return true;
+  }
+  return false;
+}
+
+/// The primality test key generation ran before the native-width
+/// arithmetic: trial division, then twelve Miller-Rabin witnesses, every
+/// modular product through the schoolbook ladder.
+bool IsPrimeRef(uint64_t n) {
+  if (n < 2) return false;
+  const uint64_t kSmall[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+  for (uint64_t d : kSmall) {
+    if (n % d == 0) return n == d;
+  }
+  for (uint64_t a : kSmall) {
+    if (!StrongProbablePrimeRef(n, a)) return false;
+  }
+  return true;
+}
+
+bool IsPrimeByTrialDivision(uint64_t n) {
+  if (n < 2) return false;
+  for (uint64_t d = 2; d * d <= n; ++d) {
+    if (n % d == 0) return false;
+  }
+  return true;
+}
+
+TEST(PrimalityTest, MatchesSchoolbookNearKeyIntervalEnds) {
+  // Key primes are searched upward from [2^30, 2^31), so candidates reach
+  // just past 2^31; 2^32 is where 64-bit products of two residues stop
+  // fitting below 2^64.
+  const uint64_t kRadius = 1500;
+  for (uint64_t end : {1ull << 30, 1ull << 31, 1ull << 32}) {
+    for (uint64_t n = end - kRadius; n <= end + kRadius; ++n) {
+      const bool want = IsPrimeByTrialDivision(n);
+      ASSERT_EQ(IsPrimeRef(n), want) << n;
+      ASSERT_EQ(IsPrimeU64(n), want) << n;
+    }
+  }
+  for (uint64_t n = 0; n <= 2000; ++n) {
+    ASSERT_EQ(IsPrimeU64(n), IsPrimeByTrialDivision(n)) << n;
+  }
+}
+
+TEST(PrimalityTest, RejectsStrongPseudoprimes) {
+  // Strong pseudoprimes to base 2: 2047 = 23 * 89 falls to trial division;
+  // the others have no factor <= 37 and reach Miller-Rabin, 3215031751
+  // passing bases 2, 3, 5 and 7, and 4294967297 = 2^32 + 1 = 641 * 6700417
+  // is the top of the 32-bit range. Last, a composite that is a strong
+  // pseudoprime to every prime base below 37.
+  const uint64_t kBase2[] = {2047, 8321, 42799, 49141, 3215031751, 4294967297};
+  for (uint64_t n : kBase2) {
+    ASSERT_TRUE(StrongProbablePrimeRef(n, 2)) << n;
+    EXPECT_FALSE(IsPrimeRef(n)) << n;
+    EXPECT_FALSE(IsPrimeU64(n)) << n;
+  }
+  const uint64_t kBases2To31 = 3825123056546413051ull;
+  for (uint64_t a : {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}) {
+    ASSERT_TRUE(StrongProbablePrimeRef(kBases2To31, a)) << a;
+  }
+  EXPECT_FALSE(IsPrimeRef(kBases2To31));
+  EXPECT_FALSE(IsPrimeU64(kBases2To31));
+  // The largest prime below 2^64, where products need all 128 bits.
+  EXPECT_TRUE(IsPrimeRef(18446744073709551557ull));
+  EXPECT_TRUE(IsPrimeU64(18446744073709551557ull));
 }
 
 }  // namespace

@@ -3,15 +3,42 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "assign/assignment.h"
 #include "exec/distributed.h"
 #include "paper_example.h"
+#include "profile/propagate.h"
+#include "tpch/dbgen.h"
+#include "tpch/queries.h"
+#include "tpch/scenarios.h"
 
 namespace mpq {
 namespace {
 
 using testing::MakePaperExample;
 using testing::PaperExample;
+
+/// Every subject's keyring holds exactly the keys of the Def 6.1 groups it
+/// is a holder of — a missing key breaks execution, an extra one is a leak
+/// — except the dispatching user, which holds every key.
+void ExpectExactDef61Keyrings(const DistributedRuntime& rt,
+                              const PlanKeys& keys, SubjectId user,
+                              size_t num_subjects) {
+  for (SubjectId s = 0; s < num_subjects; ++s) {
+    std::set<uint64_t> want;
+    for (const KeyGroup& g : keys.groups) {
+      if (s == user || g.holders.Contains(s)) want.insert(g.key_id);
+    }
+    const KeyRing& ring = rt.keyring(s);
+    // Key ids are unique per plan, so equal sizes plus containment is
+    // set equality.
+    EXPECT_EQ(ring.size(), want.size()) << "subject " << s;
+    for (uint64_t id : want) {
+      EXPECT_TRUE(ring.Has(id)) << "subject " << s << " lacks key " << id;
+    }
+  }
+}
 
 class DistributedTest : public ::testing::Test {
  protected:
@@ -124,13 +151,42 @@ TEST_F(DistributedTest, KeyringsFollowDef61Holders) {
   ASSERT_TRUE(ext.ok());
   auto rt = MakeRuntime(*ext);
   PlanKeys keys = DeriveQueryPlanKeys(*ext);
-  for (const KeyGroup& g : keys.groups) {
-    g.holders.ForEach([&](AttrId s) {
-      EXPECT_TRUE(rt->keyring(static_cast<SubjectId>(s)).Has(g.key_id));
-    });
-  }
+  ASSERT_FALSE(keys.groups.empty());
+  ExpectExactDef61Keyrings(*rt, keys, ex_->U, ex_->subjects.size());
   // X holds no keys (it only computes over ciphertexts).
   EXPECT_EQ(rt->keyring(ex_->X).size(), 0u);
+}
+
+TEST(DistributedTpchTest, UAPencKeyringsFollowDef61Holders) {
+  TpchEnv env = MakeTpchEnv(1.0, 3);
+  TpchData db = GenerateTpch(env, /*data_sf=*/0.0002, /*seed=*/11);
+  auto plan = BuildTpchQuery(3, env);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(
+      DerivePlaintextNeeds(plan->get(), env.catalog, SchemeCaps{}).ok());
+  ASSERT_TRUE(AnnotatePlan(plan->get(), env.catalog).ok());
+  auto policy = MakeScenarioPolicy(env, AuthScenario::kUAPenc);
+  ASSERT_TRUE(policy.ok());
+  auto cp = ComputeCandidates(plan->get(), *policy);
+  ASSERT_TRUE(cp.ok());
+  SchemeMap schemes = AnalyzeSchemes(plan->get(), env.catalog, SchemeCaps{});
+  PricingTable prices = MakeScenarioPricing(env);
+  Topology topo = MakeScenarioTopology(env);
+  CostModel cm(&env.catalog, &prices, &topo, &schemes);
+  AssignmentOptimizer opt(&*policy, &cm);
+  auto r = opt.Optimize(plan->get(), *cp, env.user);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  PlanKeys keys = DeriveQueryPlanKeys(r->extended);
+  ASSERT_FALSE(keys.groups.empty());
+
+  DistributedRuntime rt(&env.catalog, &env.subjects);
+  for (const auto& [rel, t] : db.tables) rt.LoadTable(rel, t);
+  rt.DistributeKeys(keys, env.user, /*seed=*/2025);
+  rt.SetCryptoPlan(MakeCryptoPlan(r->refined_schemes, keys));
+  ExpectExactDef61Keyrings(rt, keys, env.user, env.subjects.size());
+  // The exact keyrings suffice: the plan runs to completion.
+  auto result = rt.Run(r->extended, env.user);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
 TEST_F(DistributedTest, AllUserPlanHasSingleHop) {
