@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   // Default scale keeps the per-query working set small relative to the
   // front half (parse → authorize → optimize): the regime where a serving
   // layer's plan cache is the dominant lever. Execution-side data scaling
-  // is bench_parallel_exec's subject.
+  // is bench_hashpath's subject.
   double data_sf = argc > 1 ? std::atof(argv[1]) : 5e-5;
   int warm_iters = argc > 2 ? std::atoi(argv[2]) : 20;
   size_t sessions = argc > 3 ? static_cast<size_t>(std::atoi(argv[3])) : 2000;
@@ -442,11 +442,10 @@ int main(int argc, char** argv) {
 
     std::printf(
         "\n[async_burst] submitted=%zu cap=%zu accepted=%zu shed=%zu "
-        "identical=%zu/%zu morsels=%llu scan_attaches=%llu  %s\n",
+        "identical=%zu/%zu morsels=%llu  %s\n",
         kBurst, config.max_queue_depth, accepted.size(), shed, identical,
         accepted.size(),
         static_cast<unsigned long long>(m1.morsels_executed),
-        static_cast<unsigned long long>(m1.scan_attaches),
         burst_ok ? "OK" : "FAIL");
 
     w.Key("async_burst")
@@ -469,12 +468,6 @@ int main(int argc, char** argv) {
         .UInt(m1.queue_depth_peak)
         .Key("morsels_executed")
         .UInt(m1.morsels_executed)
-        .Key("scan_leads")
-        .UInt(m1.scan_leads)
-        .Key("scan_attaches")
-        .UInt(m1.scan_attaches)
-        .Key("scan_shared_batches")
-        .UInt(m1.scan_shared_batches)
         .Key("pass")
         .Bool(burst_ok)
         .EndObject();
@@ -488,7 +481,7 @@ int main(int argc, char** argv) {
   // and non-zero shedding in the 2x (overload) run.
   {
     ServiceConfig config;
-    config.exec_threads = 2;  // morsel scheduler + shared scans active
+    config.exec_threads = 2;  // pooled ParallelFor morsel queue active
     QueryService service(&env.catalog, &env.subjects, &*policy, &prices,
                          &topo, config);
     for (const auto& [rel, t] : db.tables) service.LoadTable(rel, &t);

@@ -9,50 +9,22 @@ namespace {
 /// Index of the worker the current thread is, or SIZE_MAX off-pool. Set once
 /// per worker thread at startup; identifies the deque Submit should use.
 thread_local size_t tls_worker_id = SIZE_MAX;
+}  // namespace
 
-/// State shared between a ParallelFor caller and its helper tasks. Helpers
-/// hold it via shared_ptr, so a helper that only gets scheduled after the
-/// caller returned still finds valid (already exhausted) state.
-struct ForState {
+struct ThreadPool::Run {
   size_t n = 0;
   size_t grain = 1;
-  size_t num_chunks = 0;
-  std::atomic<size_t> next_chunk{0};
-  std::atomic<size_t> chunks_done{0};
+  size_t num_morsels = 0;
+  /// The caller's loop body, borrowed: it is only invoked after claiming a
+  /// morsel, and the caller cannot return before that morsel completes.
+  const std::function<Status(size_t, size_t)>* fn = nullptr;
+  std::atomic<size_t> next_morsel{0};
+  std::atomic<size_t> morsels_done{0};
   std::mutex mu;
   std::condition_variable cv;
-  size_t error_chunk = SIZE_MAX;  // guarded by mu
-  Status error;                   // guarded by mu
+  size_t error_morsel = SIZE_MAX;  // guarded by mu
+  Status error;                    // guarded by mu
 };
-
-/// Claims chunks until none remain. `fn` belongs to the calling frame: the
-/// caller passes its own argument, helpers pass their private copy.
-void RunChunks(const std::shared_ptr<ForState>& s,
-               const std::function<Status(size_t, size_t)>& fn) {
-  for (;;) {
-    size_t c = s->next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (c >= s->num_chunks) return;
-    // Every chunk runs even after a failure elsewhere: that keeps the
-    // reported error (lowest failing chunk) deterministic across thread
-    // counts, and errors terminate the whole query anyway.
-    size_t begin = c * s->grain;
-    Status st = fn(begin, std::min(begin + s->grain, s->n));
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      if (c < s->error_chunk) {
-        s->error_chunk = c;
-        s->error = std::move(st);
-      }
-    }
-    if (s->chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        s->num_chunks) {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->cv.notify_all();
-      return;
-    }
-  }
-}
-}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   queues_.reserve(num_threads);
@@ -107,6 +79,10 @@ bool ThreadPool::Submit(std::function<void()> task) {
     queues_[q]->tasks.push_back(std::move(task));
   }
   pending_.fetch_add(1, std::memory_order_release);
+  // Pass through wake_mu_ before notifying: a worker that checked pending_
+  // under the mutex but has not blocked yet would otherwise miss this
+  // wake-up and sleep with the task queued.
+  { std::lock_guard<std::mutex> lock(wake_mu_); }
   wake_cv_.notify_one();
   return true;
 }
@@ -164,48 +140,108 @@ void ThreadPool::WorkerLoop(size_t id) {
   }
 }
 
+bool ThreadPool::ClaimAndRunOne(Run& run) {
+  size_t m = run.next_morsel.fetch_add(1, std::memory_order_relaxed);
+  if (m >= run.num_morsels) return false;
+  // Every morsel runs even after a failure elsewhere: that keeps the
+  // reported error (lowest failing morsel) deterministic across thread
+  // counts, and errors terminate the whole query anyway.
+  size_t begin = m * run.grain;
+  Status st = (*run.fn)(begin, std::min(begin + run.grain, run.n));
+  morsels_executed_.fetch_add(1, std::memory_order_relaxed);
+  morsels_pending_.fetch_sub(1, std::memory_order_relaxed);
+  if (!st.ok()) {
+    std::lock_guard<std::mutex> lock(run.mu);
+    if (m < run.error_morsel) {
+      run.error_morsel = m;
+      run.error = std::move(st);
+    }
+  }
+  if (run.morsels_done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      run.num_morsels) {
+    std::lock_guard<std::mutex> lock(run.mu);
+    run.cv.notify_all();
+  }
+  return true;
+}
+
+bool ThreadPool::PumpOne() {
+  for (;;) {
+    std::shared_ptr<Run> run;
+    {
+      std::lock_guard<std::mutex> lock(runs_mu_);
+      while (!runs_.empty() &&
+             runs_.front()->next_morsel.load(std::memory_order_relaxed) >=
+                 runs_.front()->num_morsels) {
+        runs_.pop_front();
+      }
+      if (runs_.empty()) return false;
+      run = runs_.front();
+    }
+    // A concurrent claimer may take the last morsel between the check and
+    // the claim; loop so the exhausted run gets popped and the next one
+    // tried, instead of reporting a drained FIFO early.
+    if (ClaimAndRunOne(*run)) return true;
+  }
+}
+
 Status ParallelFor(ThreadPool* pool, size_t n, size_t grain,
                    const std::function<Status(size_t, size_t)>& fn) {
   if (n == 0) return Status::OK();
   if (grain == 0) grain = 1;
-  size_t num_chunks = (n + grain - 1) / grain;
-  if (pool == nullptr || pool->size() == 0 || num_chunks == 1) {
-    for (size_t c = 0; c < num_chunks; ++c) {
-      size_t begin = c * grain;
+  size_t num_morsels = (n + grain - 1) / grain;
+  if (pool == nullptr || pool->size() == 0 || num_morsels == 1) {
+    for (size_t m = 0; m < num_morsels; ++m) {
+      size_t begin = m * grain;
+      if (pool != nullptr) {
+        pool->morsels_executed_.fetch_add(1, std::memory_order_relaxed);
+      }
       MPQ_RETURN_NOT_OK(fn(begin, std::min(begin + grain, n)));
     }
     return Status::OK();
   }
 
-  auto state = std::make_shared<ForState>();
-  state->n = n;
-  state->grain = grain;
-  state->num_chunks = num_chunks;
-
-  // Each helper owns a copy of `fn`, so one scheduled after the caller
-  // already returned (every chunk claimed) is still safe: it finds the chunk
-  // counter exhausted and exits without invoking its copy.
-  size_t num_helpers = std::min(pool->size(), num_chunks - 1);
-  for (size_t i = 0; i < num_helpers; ++i) {
-    pool->Submit([state, fn] { RunChunks(state, fn); });
+  auto run = std::make_shared<ThreadPool::Run>();
+  run->n = n;
+  run->grain = grain;
+  run->num_morsels = num_morsels;
+  run->fn = &fn;
+  pool->morsels_pending_.fetch_add(num_morsels, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(pool->runs_mu_);
+    pool->runs_.push_back(run);
   }
 
-  RunChunks(state, fn);
-
-  // All chunks are claimed; wait for helpers still finishing theirs, running
-  // other queued pool work meanwhile (keeps nested ParallelFor/Submit from
-  // ever deadlocking). The timed wait covers the race between a final
-  // completion and this thread going to sleep.
-  while (state->chunks_done.load(std::memory_order_acquire) < num_chunks) {
-    if (pool->TryRunOneTask()) continue;
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait_for(lock, std::chrono::milliseconds(1), [&] {
-      return state->chunks_done.load(std::memory_order_acquire) >= num_chunks;
+  // Wake workers via pump tasks. Each pump drains the *global* FIFO, not
+  // just this run — an idle worker woken for query A keeps helping query B
+  // afterwards, which is what makes the queue shared. Submit may reject
+  // during pool shutdown; that only costs parallelism, the caller loop
+  // below claims every remaining morsel itself.
+  size_t num_helpers = std::min(pool->size(), num_morsels - 1);
+  for (size_t i = 0; i < num_helpers; ++i) {
+    (void)pool->Submit([pool] {
+      while (pool->PumpOne()) {
+      }
     });
   }
 
-  std::lock_guard<std::mutex> lock(state->mu);
-  return state->error_chunk == SIZE_MAX ? Status::OK() : state->error;
+  // The caller claims its own morsels first (its run never starves), then
+  // helps other runs while waiting for morsels still running elsewhere. The
+  // timed wait covers the race between the final completion and this thread
+  // going to sleep.
+  auto finished = [&] {
+    return run->morsels_done.load(std::memory_order_acquire) >= num_morsels;
+  };
+  for (;;) {
+    if (pool->ClaimAndRunOne(*run)) continue;
+    if (finished()) break;
+    if (pool->PumpOne()) continue;
+    std::unique_lock<std::mutex> lock(run->mu);
+    if (run->cv.wait_for(lock, std::chrono::milliseconds(1), finished)) break;
+  }
+
+  std::lock_guard<std::mutex> lock(run->mu);
+  return run->error_morsel == SIZE_MAX ? Status::OK() : run->error;
 }
 
 }  // namespace mpq

@@ -196,8 +196,6 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
     ctx.nonce_seed = run_seed ^
                      (static_cast<uint64_t>(n->id) + 1) * 0x94d049bb133111ebull;
     ctx.pool = pool_;
-    ctx.morsels = morsels_;
-    ctx.shared_scans = shared_scans_;
     ctx.batch_size = batch_size_ == 0 ? 1 : batch_size_;
     ctx.op_profile = op_profile_;
 

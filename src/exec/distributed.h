@@ -39,7 +39,6 @@
 #include "extend/extend.h"
 #include "extend/keys.h"
 #include "exec/executor.h"
-#include "exec/morsel.h"
 #include "net/simnet.h"
 
 namespace mpq {
@@ -102,32 +101,10 @@ class DistributedRuntime {
   }
 
   /// Attaches a pool: independent fragments then run as concurrent async
-  /// tasks, and each engine evaluates operators batch-parallel. Null (the
-  /// default) runs everything sequentially. The pool is borrowed, not
-  /// owned. Unless SetMorselScheduler injects a shared one, the runtime
-  /// lazily creates a private MorselScheduler over the pool so operator
-  /// loops run morsel-driven here too.
-  void SetThreadPool(ThreadPool* pool) {
-    pool_ = pool;
-    if (pool != nullptr && morsels_ == nullptr) {
-      owned_morsels_ = std::make_unique<MorselScheduler>(pool);
-      morsels_ = owned_morsels_.get();
-    }
-  }
-
-  /// Injects the process-wide morsel scheduler (borrowed): operator loops
-  /// then enqueue on it instead of the runtime's private one, so every
-  /// concurrent query of a serving process draws from one task queue.
-  void SetMorselScheduler(MorselScheduler* morsels) {
-    if (morsels != nullptr) morsels_ = morsels;
-  }
-
-  /// Attaches the process-wide shared-scan manager (borrowed): concurrent
-  /// base-table selects over the same snapshot then coalesce onto one
-  /// batch-claim loop. Null (the default) scans privately.
-  void SetSharedScans(SharedScanManager* shared_scans) {
-    shared_scans_ = shared_scans;
-  }
+  /// tasks, and each engine evaluates operators batch-parallel on the
+  /// pool's morsel queue. Null (the default) runs everything sequentially.
+  /// The pool is borrowed, not owned.
+  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   /// Rows per operator batch (see ExecContext::batch_size).
   void SetBatchSize(size_t batch_size) { batch_size_ = batch_size; }
@@ -194,11 +171,6 @@ class DistributedRuntime {
   /// sequential — share a (key, nonce) pair.
   std::atomic<uint64_t> nonce_seed_{0x243f6a8885a308d3ull};
   ThreadPool* pool_ = nullptr;
-  /// Private scheduler created by SetThreadPool when none is injected, so
-  /// standalone runtimes (tests, benches) run morsel-driven too.
-  std::unique_ptr<MorselScheduler> owned_morsels_;
-  MorselScheduler* morsels_ = nullptr;
-  SharedScanManager* shared_scans_ = nullptr;
   size_t batch_size_ = Table::kDefaultBatchSize;
   SimNet* net_ = nullptr;
   NetPolicy net_policy_;

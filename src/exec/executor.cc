@@ -20,7 +20,6 @@
 #include "common/str_util.h"
 #include "crypto/cipher.h"
 #include "crypto/column_codec.h"
-#include "exec/morsel.h"
 #include "obs/trace.h"
 #include "storage/segment.h"
 
@@ -34,10 +33,8 @@ size_t Grain(const ExecContext* ctx) {
   return ctx->batch_size == 0 ? 1 : ctx->batch_size;
 }
 
-/// The per-batch loop of operator `kind`: routed through the global
-/// MorselScheduler when one is attached (all concurrent queries then draw
-/// from one task queue), private ParallelFor fan-out otherwise. The (n,
-/// grain) morsel partition is identical either way, so results are too.
+/// The per-batch loop of operator `kind`: ParallelFor over the context's
+/// pool, so every concurrent query draws from the pool's one morsel queue.
 /// Also accounts the loop's morsel count for the operator profile and for
 /// per-operator span attribution.
 Status OpParallelFor(ExecContext* ctx, OpKind kind, size_t n,
@@ -48,7 +45,6 @@ Status OpParallelFor(ExecContext* ctx, OpKind kind, size_t n,
     if (ctx->op_profile != nullptr) ctx->op_profile->RecordMorsels(kind, m);
     ctx->op_morsels.fetch_add(m, std::memory_order_relaxed);
   }
-  if (ctx->morsels != nullptr) return ctx->morsels->Run(n, grain, fn);
   return ParallelFor(ctx->pool, n, grain, fn);
 }
 
@@ -362,39 +358,18 @@ Result<Table> ExecSelect(const PlanNode* n, Table in, ExecContext* ctx) {
     MPQ_ASSIGN_OR_RETURN(BoundPredicate bp, BindPredicate(p, in, n, ctx));
     preds.push_back(std::move(bp));
   }
-  // Phase 1 (parallel): per-batch selection vectors. With a
-  // SharedScanManager attached, concurrent selects over the same column
-  // payload coalesce onto one batch-claim loop — each query still runs its
-  // own predicates per batch, so coalescing is pure scheduling and the
-  // per-batch selection vectors are identical either way.
+  // Phase 1 (parallel): per-batch selection vectors.
   std::vector<SelectionVector> sels(in.NumBatches(Grain(ctx)));
-  auto fill_batch = [&](size_t batch, size_t begin, size_t end) -> Status {
-    SelectionVector& sel = sels[batch];
-    sel.resize(end - begin);
-    for (size_t r = begin; r < end; ++r) {
-      sel[r - begin] = static_cast<uint32_t>(r);
-    }
-    return FilterAll(preds, in, &sel);
-  };
-  if (ctx->shared_scans != nullptr && in.num_columns() > 0 &&
-      in.num_rows() > 0) {
-    if (ctx->op_profile != nullptr) {
-      ctx->op_profile->RecordMorsels(OpKind::kSelect, sels.size());
-    }
-    ctx->op_morsels.fetch_add(sels.size(), std::memory_order_relaxed);
-    // The first column's payload pointer identifies the physical table:
-    // snapshots share column payloads copy-on-write, so two queries over
-    // the same snapshot see the same pointer while a mutated or
-    // re-materialized table does not (and correctly scans alone).
-    MPQ_RETURN_NOT_OK(ctx->shared_scans->Scan(
-        in.ShareCol(0).get(), in.num_rows(), Grain(ctx), fill_batch));
-  } else {
-    MPQ_RETURN_NOT_OK(OpParallelFor(
-        ctx, OpKind::kSelect, in.num_rows(),
-        [&](size_t begin, size_t end) -> Status {
-          return fill_batch(begin / Grain(ctx), begin, end);
-        }));
-  }
+  MPQ_RETURN_NOT_OK(OpParallelFor(
+      ctx, OpKind::kSelect, in.num_rows(),
+      [&](size_t begin, size_t end) -> Status {
+        SelectionVector& sel = sels[begin / Grain(ctx)];
+        sel.resize(end - begin);
+        for (size_t r = begin; r < end; ++r) {
+          sel[r - begin] = static_cast<uint32_t>(r);
+        }
+        return FilterAll(preds, in, &sel);
+      }));
   size_t total = 0;
   for (const SelectionVector& sel : sels) total += sel.size();
   if (total == in.num_rows()) return in;  // nothing filtered: reuse columns

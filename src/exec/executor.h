@@ -28,10 +28,8 @@
 
 namespace mpq {
 
-class MorselScheduler;
 class QueryTrace;
 class SegmentedTable;
-class SharedScanManager;
 
 /// Per-attribute encryption decisions: which scheme and key protect each
 /// attribute whenever it is encrypted in the plan.
@@ -95,16 +93,6 @@ struct ExecContext {
   /// When set, operators parallelize per-batch work and ExecutePlan runs
   /// independent subtrees concurrently. Null means fully sequential.
   ThreadPool* pool = nullptr;
-  /// When set, operators enqueue their per-batch loops as morsel tasks on
-  /// this global scheduler instead of fanning out privately via ParallelFor
-  /// — all concurrent queries then draw from one task queue. Morsel
-  /// boundaries are the same (n, grain) partition either way, so results
-  /// stay bit-identical with or without it.
-  MorselScheduler* morsels = nullptr;
-  /// When set, base-table selects coalesce with concurrent scans over the
-  /// same column payload (see SharedScanManager). Pure scheduling: each
-  /// query still evaluates its own predicate per batch.
-  SharedScanManager* shared_scans = nullptr;
   /// Morsels this context has enqueued (relaxed; per-operator span
   /// attribution reads the delta around each operator).
   std::atomic<uint64_t> op_morsels{0};

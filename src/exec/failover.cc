@@ -49,8 +49,6 @@ Result<FailoverOutcome> FailoverExecutor::Attempt(const PlanNode* plan,
       SplitMix64(config_.key_seed ^ (attempt + 1) * 0x9e3779b97f4a7c15ull));
   rt.SetCryptoPlan(MakeCryptoPlan(out.assignment.refined_schemes, keys));
   rt.SetThreadPool(config_.pool);
-  rt.SetMorselScheduler(config_.morsels);
-  rt.SetSharedScans(config_.shared_scans);
   rt.SetBatchSize(config_.batch_size);
   rt.SetNetwork(net_);
   rt.SetNetPolicy(config_.net_policy);

@@ -37,12 +37,6 @@ struct FailoverConfig {
   NetPolicy net_policy;          ///< Per-edge retry/deadline budget.
   bool compress_wire = true;     ///< Segment-encode cross-subject transfers.
   ThreadPool* pool = nullptr;    ///< Borrowed; null = sequential.
-  /// Borrowed; when set, attempt runtimes enqueue operator loops on this
-  /// process-wide morsel scheduler instead of private fan-out. Null lets
-  /// each runtime create its own over `pool`.
-  MorselScheduler* morsels = nullptr;
-  /// Borrowed; when set, concurrent same-snapshot base scans coalesce.
-  SharedScanManager* shared_scans = nullptr;
   size_t batch_size = Table::kDefaultBatchSize;
   OpProfile* op_profile = nullptr;  ///< Borrowed; null = no op counters.
   /// Borrowed; when set, every re-plan attempt records a "failover" span

@@ -31,7 +31,7 @@ struct OpCounterSnapshot {
   uint64_t arena_bytes = 0;
   /// Paillier ciphertexts folded by lazy homomorphic aggregation.
   uint64_t hom_folds = 0;
-  /// Morsel tasks this operator kind enqueued on the scheduler.
+  /// Morsels this operator kind ran through ParallelFor.
   uint64_t morsels = 0;
 };
 

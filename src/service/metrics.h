@@ -8,10 +8,6 @@
 #include <cstdint>
 #include <string>
 
-// LatencyHistogram lives in the unified metrics registry now
-// (obs/metrics_registry.h); this include keeps the historical spelling
-// `service/metrics.h` working for existing users of the histogram.
-#include "obs/metrics_registry.h"
 #include "profile/op_stats.h"
 
 namespace mpq {
@@ -39,13 +35,10 @@ struct ServiceMetrics {
   uint64_t sheds = 0;          ///< Async submissions rejected at the cap.
   uint64_t cancelled = 0;      ///< Async queries cancelled before running.
   size_t queue_depth_peak = 0;  ///< Peak in-flight + queued async queries.
-  uint64_t morsels_executed = 0;   ///< Morsel tasks run by the scheduler.
+  uint64_t morsels_executed = 0;   ///< Morsels run by the pool.
   uint64_t morsel_queue_depth = 0;  ///< Morsels registered, not yet run.
-
-  // Inter-query shared scans (same-snapshot base-scan coalescing).
-  uint64_t scan_leads = 0;     ///< Scans that started a shared claim loop.
-  uint64_t scan_attaches = 0;  ///< Scans that joined one in flight.
-  uint64_t scan_shared_batches = 0;  ///< Batch reads serving >= 2 queries.
+  uint64_t scan_leads = 0;     ///< Always 0 (no shared scans); for perfbench.
+  uint64_t scan_attaches = 0;  ///< Always 0 (no shared scans); for perfbench.
 
   // Failover accounting (queries recovered via an alternative authorized
   // assignment after a provider failure).

@@ -106,7 +106,6 @@ QueryService::QueryService(const Catalog* catalog,
       slow_log_(config.slow_query_s) {
   if (config_.exec_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(config_.exec_threads);
-    morsels_ = std::make_unique<MorselScheduler>(pool_.get());
   }
   // Counters the service already keeps (atomics, cache stats, op profile)
   // surface through one collector — a single source of truth instead of
@@ -149,15 +148,8 @@ QueryService::QueryService(const Catalog* catalog,
             m.sheds);
     counter("mpq_cancelled_total", "Async queries cancelled before execution",
             m.cancelled);
-    counter("mpq_morsels_executed_total", "Morsel tasks run by the scheduler",
+    counter("mpq_morsels_executed_total", "Morsels run by the pool",
             m.morsels_executed);
-    counter("mpq_shared_scan_leads_total",
-            "Scans that started a shared claim loop", m.scan_leads);
-    counter("mpq_shared_scan_attaches_total",
-            "Scans that attached to an in-flight scan", m.scan_attaches);
-    counter("mpq_shared_scan_shared_batches_total",
-            "Batch reads that served two or more queries",
-            m.scan_shared_batches);
     out->append(StrFormat(
         "# HELP mpq_morsel_queue_depth Morsels registered but not yet run\n"
         "# TYPE mpq_morsel_queue_depth gauge\nmpq_morsel_queue_depth %llu\n",
@@ -334,13 +326,14 @@ void QueryService::RunAsyncTask(std::shared_ptr<AsyncQuery> query,
                                 std::shared_ptr<const std::string> sql,
                                 std::shared_ptr<const AstSelect> ast,
                                 const Session& sess) {
-  // A pool worker must NEVER park inside AdmissionSlot: waiters all over the
-  // engine (fragment DAG drains, ParallelFor) help by inlining queued pool
-  // tasks, so an async task can start nested under a query that already
-  // holds a slot — let it block there and a handful of nested starts park
-  // every thread under a suspended slot-holder (deadlock). Instead, when the
-  // service is at max_in_flight, requeue behind the other queued work and
-  // let this thread get back to finishing the queries that hold the slots.
+  // A pool worker must NEVER park inside AdmissionSlot: waiters in the
+  // engine (fragment DAG drains, ExecutePlan subtree waits) help by inlining
+  // queued pool tasks, so an async task can start nested under a query that
+  // already holds a slot — let it block there and a handful of nested starts
+  // park every thread under a suspended slot-holder (deadlock). Instead,
+  // when the service is at max_in_flight, requeue behind the other queued
+  // work and let this thread get back to finishing the queries that hold
+  // the slots.
   bool admitted = TryClaimSlot();
   if (!admitted && pool_ != nullptr && pool_->size() > 0) {
     if (pool_->Submit([this, query, sql, ast, sess] {
@@ -683,8 +676,6 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
   entry->runtime->SetCryptoPlan(
       MakeCryptoPlan(entry->assignment.refined_schemes, entry->keys));
   entry->runtime->SetThreadPool(pool_.get());
-  entry->runtime->SetMorselScheduler(morsels_.get());
-  entry->runtime->SetSharedScans(&shared_scans_);
   entry->runtime->SetBatchSize(config_.batch_size);
   entry->runtime->SetNetwork(config_.net);
   entry->runtime->SetNetPolicy(config_.net_policy);
@@ -811,8 +802,6 @@ Result<QueryResponse> QueryService::ExecuteInternal(
     fc.max_failovers = config_.max_failovers;
     fc.net_policy = config_.net_policy;
     fc.pool = pool_.get();
-    fc.morsels = morsels_.get();
-    fc.shared_scans = &shared_scans_;
     fc.batch_size = config_.batch_size;
     fc.op_profile = &op_profile_;
     fc.trace = trace.get();
@@ -990,13 +979,10 @@ ServiceMetrics QueryService::Metrics() const {
   m.async_queries = async_queries_.load(std::memory_order_relaxed);
   m.sheds = sheds_.load(std::memory_order_relaxed);
   m.cancelled = cancelled_.load(std::memory_order_relaxed);
-  if (morsels_ != nullptr) {
-    m.morsels_executed = morsels_->morsels_executed();
-    m.morsel_queue_depth = morsels_->morsels_pending();
+  if (pool_ != nullptr) {
+    m.morsels_executed = pool_->morsels_executed();
+    m.morsel_queue_depth = pool_->morsels_pending();
   }
-  m.scan_leads = shared_scans_.leads();
-  m.scan_attaches = shared_scans_.attaches();
-  m.scan_shared_batches = shared_scans_.shared_batches();
   m.total_p50_ms = latency_total_->Quantile(0.50) * 1e3;
   m.total_p95_ms = latency_total_->Quantile(0.95) * 1e3;
   m.total_p99_ms = latency_total_->Quantile(0.99) * 1e3;

@@ -34,6 +34,7 @@
 #include "exec/table_store.h"
 #include "exec/write_executor.h"
 #include "obs/explain.h"
+#include "obs/metrics_registry.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "service/metrics.h"
@@ -301,11 +302,6 @@ class QueryService {
 
   const ServiceConfig& config() const { return config_; }
   ThreadPool* pool() { return pool_.get(); }
-  /// The process-wide morsel scheduler every cached plan enqueues on (null
-  /// when the service runs inline, i.e. exec_threads == 0).
-  MorselScheduler* morsels() { return morsels_.get(); }
-  /// The process-wide shared-scan manager (always present; for tests).
-  SharedScanManager* shared_scans() { return &shared_scans_; }
 
  private:
   /// The borrowed probe form of a plan-cache key: a string_view over the
@@ -430,13 +426,10 @@ class QueryService {
 
   mutable std::mutex tables_mu_;
   std::map<RelId, const Table*> tables_;  // guarded by tables_mu_
+  /// Every cached plan's runtime and every failover runtime runs on this
+  /// pool, so all concurrent queries draw from its one morsel queue. Null
+  /// when the service executes inline.
   std::unique_ptr<ThreadPool> pool_;
-  /// The global morsel queue (over pool_) every cached plan's runtime and
-  /// every failover runtime enqueues on — one task pool for all concurrent
-  /// queries. Null when the service executes inline.
-  std::unique_ptr<MorselScheduler> morsels_;
-  /// Coalesces concurrent same-snapshot base scans across queries.
-  SharedScanManager shared_scans_;
   ShardedLruCache<PlanCacheKey, PreparedPlan, PlanCacheKeyHash> cache_;
 
   // Admission control.

@@ -63,6 +63,7 @@ struct Reader {
 
   bool Take(void* dst, size_t n) {
     if (n > size - pos) return false;  // pos <= size always holds
+    if (n == 0) return true;  // dst may be an empty vector's null data()
     std::memcpy(dst, data + pos, n);
     pos += n;
     return true;

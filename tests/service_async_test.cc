@@ -1,8 +1,8 @@
 // Async QueryService tests: the ExecuteAsync path must produce responses
 // bit-identical to synchronous Execute (same rows, same metrics counters) at
 // several thread counts, support cancellation before the first morsel runs,
-// shed deterministically at the queue-depth cap, and coalesce concurrent
-// same-snapshot scans across queries (the shared-scan acceptance check).
+// shed deterministically at the queue-depth cap, and count every morsel the
+// operators run.
 
 #include <gtest/gtest.h>
 
@@ -237,50 +237,29 @@ TEST_F(ServiceAsyncTest, ShedsAtQueueDepthCap) {
   EXPECT_GE(m.queue_depth_peak, 2u);
 }
 
-TEST_F(ServiceAsyncTest, SharedScanCoalescesConcurrentQueries) {
-  // The acceptance check: two concurrent same-snapshot queries over the same
-  // base table must coalesce onto one in-flight scan, observable through the
-  // service's scan_leads / scan_attaches / scan_shared_batches counters, and
-  // both must still return the exact reference rows. The statement touches
-  // only D and T — plaintext-visible to every subject under the example's
-  // GrantAny — so the select's input stays the zero-copy base snapshot
-  // whose payload pointer is the shared-scan key. (The full paper query
-  // encrypts S on the fly before its selection, and per-run nonces make
-  // that input physically distinct per query: correctly never coalesced.)
-  auto service = MakeService();  // inline execution: threads are the callers
+TEST_F(ServiceAsyncTest, MorselsExecutedMatchesOperatorProfile) {
+  // Every operator loop runs through the pool's morsel queue, so the
+  // service's executed-morsel counter must equal the morsels the operator
+  // profile recorded, select morsels included. batch_size = 1 gives every
+  // operator loop one morsel per row.
+  ServiceConfig config;
+  config.exec_threads = 2;
+  config.batch_size = 1;
+  auto service = MakeService(config);
   auto session = service->OpenSession(ex_->U);
   ASSERT_TRUE(session.ok());
-  auto stmt = service->Prepare("select D, T from Hosp where D = 'stroke'");
+  auto stmt = service->Prepare(kPaperSql);
   ASSERT_TRUE(stmt.ok());
-  auto reference = service->Execute(*stmt, *session);
-  ASSERT_TRUE(reference.ok());
-  ServiceMetrics m0 = service->Metrics();
-
-  // Hold the next leader before its first batch claim so the second query
-  // deterministically finds the scan in flight and attaches.
-  service->shared_scans()->HoldNewScansForTesting();
-  Result<QueryResponse> r1 = Status::Internal("unset");
-  Result<QueryResponse> r2 = Status::Internal("unset");
-  std::thread q1([&] { r1 = service->Execute(*stmt, *session); });
-  while (service->Metrics().scan_leads == m0.scan_leads) {
-    std::this_thread::yield();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(service->Execute(*stmt, *session).ok()) << "run " << i;
   }
-  std::thread q2([&] { r2 = service->Execute(*stmt, *session); });
-  while (service->Metrics().scan_attaches == m0.scan_attaches) {
-    std::this_thread::yield();
-  }
-  service->shared_scans()->ReleaseHeldScansForTesting();
-  q1.join();
-  q2.join();
 
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  ExpectTablesIdentical(r1->table, reference->table, "coalesced leader");
-  ExpectTablesIdentical(r2->table, reference->table, "coalesced attacher");
-
-  ServiceMetrics m1 = service->Metrics();
-  EXPECT_GE(m1.scan_attaches - m0.scan_attaches, 1u);
-  EXPECT_GE(m1.scan_shared_batches - m0.scan_shared_batches, 1u);
+  ServiceMetrics m = service->Metrics();
+  uint64_t recorded = 0;
+  for (const OpCounterSnapshot& c : m.ops.ops) recorded += c.morsels;
+  EXPECT_GT(m.ops.of(OpKind::kSelect).morsels, 0u);
+  EXPECT_EQ(m.morsels_executed, recorded);
+  EXPECT_EQ(m.morsel_queue_depth, 0u);
 }
 
 }  // namespace

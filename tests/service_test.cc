@@ -13,6 +13,7 @@
 
 #include "net/pricing.h"
 #include "net/topology.h"
+#include "obs/metrics_registry.h"
 #include "paper_example.h"
 #include "service/metrics.h"
 #include "service/query_service.h"

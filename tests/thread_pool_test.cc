@@ -1,4 +1,7 @@
-// Tests for the work-stealing ThreadPool and deterministic ParallelFor.
+// Tests for the work-stealing ThreadPool and ParallelFor, its morsel-driven
+// parallel loop: exactly-once coverage, thread-count-independent morsel
+// boundaries, lowest-index errors, inline runs, and concurrent runs sharing
+// the pool's one run queue.
 
 #include "common/thread_pool.h"
 
@@ -57,7 +60,7 @@ TEST(ThreadPoolTest, SubmitFromWorkerThread) {
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  for (size_t workers : {size_t{0}, size_t{1}, size_t{4}}) {
+  for (size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{8}}) {
     ThreadPool pool(workers);
     constexpr size_t kN = 10000;
     std::vector<std::atomic<int>> hits(kN);
@@ -69,52 +72,66 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
     for (size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " workers " << workers;
     }
+    EXPECT_EQ(pool.morsels_executed(), (kN + 63) / 64) << "workers " << workers;
+    EXPECT_EQ(pool.morsels_pending(), 0u) << "workers " << workers;
   }
 }
 
-TEST(ParallelForTest, NullPoolRunsInline) {
-  size_t total = 0;
-  Status st = ParallelFor(nullptr, 100, 7, [&](size_t begin, size_t end) {
-    total += end - begin;
-    return Status::OK();
-  });
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(total, 100u);
+TEST(ParallelForTest, NullAndZeroWorkerPoolsRunInline) {
+  // Without workers every morsel runs on the calling thread, in order.
+  ThreadPool empty(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &empty}) {
+    std::vector<std::pair<size_t, size_t>> morsels;
+    Status st = ParallelFor(pool, 100, 7, [&](size_t begin, size_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      morsels.emplace_back(begin, end);
+      return Status::OK();
+    });
+    ASSERT_TRUE(st.ok());
+    ASSERT_EQ(morsels.size(), 15u);
+    for (size_t m = 0; m < morsels.size(); ++m) {
+      EXPECT_EQ(morsels[m].first, m * 7);
+      EXPECT_EQ(morsels[m].second, std::min<size_t>(m * 7 + 7, 100));
+    }
+  }
+  EXPECT_EQ(empty.morsels_executed(), 15u);
 }
 
-TEST(ParallelForTest, ChunkBoundariesIndependentOfThreads) {
-  // Record the chunk partition at several pool sizes; all must agree.
+TEST(ParallelForTest, MorselBoundariesIndependentOfThreads) {
+  // The morsel partition must depend only on (n, grain) — the property that
+  // makes batch-order merges bit-identical at 1, 2, or 8 threads.
   std::vector<std::vector<std::pair<size_t, size_t>>> partitions;
   for (size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
     ThreadPool pool(workers);
     std::mutex mu;
-    std::vector<std::pair<size_t, size_t>> chunks;
+    std::vector<std::pair<size_t, size_t>> morsels;
     Status st = ParallelFor(&pool, 1000, 128, [&](size_t begin, size_t end) {
       std::lock_guard<std::mutex> lock(mu);
-      chunks.emplace_back(begin, end);
+      morsels.emplace_back(begin, end);
       return Status::OK();
     });
     ASSERT_TRUE(st.ok());
-    std::sort(chunks.begin(), chunks.end());
-    partitions.push_back(std::move(chunks));
+    std::sort(morsels.begin(), morsels.end());
+    partitions.push_back(std::move(morsels));
   }
   EXPECT_EQ(partitions[0], partitions[1]);
   EXPECT_EQ(partitions[1], partitions[2]);
 }
 
-TEST(ParallelForTest, ReportsLowestChunkError) {
+TEST(ParallelForTest, ReportsLowestMorselError) {
   ThreadPool pool(4);
   Status st = ParallelFor(&pool, 1000, 10, [&](size_t begin, size_t) {
     if (begin >= 500) {
-      return Status::Internal("chunk " + std::to_string(begin));
+      return Status::Internal("morsel " + std::to_string(begin));
     }
     return Status::OK();
   });
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
-  // Which chunks run after failure is racy, but the reported error is always
-  // the lowest failing chunk index.
-  EXPECT_EQ(st.message(), "chunk 500");
+  // Which morsels run after failure is racy, but the reported error is
+  // always the lowest failing morsel index.
+  EXPECT_EQ(st.message(), "morsel 500");
 }
 
 TEST(ParallelForTest, NestedParallelForDoesNotDeadlock) {
@@ -178,29 +195,66 @@ TEST(ThreadPoolTest, SubmitDuringShutdownRunsOrRejectsCleanly) {
   }
 }
 
-TEST(ParallelForTest, WaitersHelpDrainQueuedTasks) {
-  // A single-worker pool saturated by a slow task: ParallelFor's caller must
-  // claim chunks itself instead of waiting for the busy worker.
+TEST(ParallelForTest, CallerClaimsOwnMorselsWhileWorkerBusy) {
+  // The only worker is parked on a gate task with another task queued
+  // behind it. ParallelFor's caller must claim every morsel itself — the
+  // gate only opens after ParallelFor returns — and must not inline the
+  // queued task: an arbitrary pool task may block on admission.
   ThreadPool pool(1);
+  std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
-  std::atomic<bool> slow_done{false};
+  std::atomic<bool> queued_ran{false};
   pool.Submit([&] {
+    entered.store(true);
     while (!release.load()) std::this_thread::yield();
-    slow_done.store(true);
   });
+  while (!entered.load()) std::this_thread::yield();
+  pool.Submit([&] { queued_ran.store(true); });
+
+  const std::thread::id caller = std::this_thread::get_id();
   std::atomic<size_t> covered{0};
-  std::thread unblocker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    release.store(true);
-  });
   Status st = ParallelFor(&pool, 256, 16, [&](size_t begin, size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     covered.fetch_add(end - begin);
     return Status::OK();
   });
-  unblocker.join();
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(covered.load(), 256u);
-  while (!slow_done.load()) std::this_thread::yield();
+  EXPECT_FALSE(queued_ran.load());
+  EXPECT_EQ(pool.morsels_executed(), 16u);
+  EXPECT_EQ(pool.morsels_pending(), 0u);
+  release.store(true);
+  while (!queued_ran.load()) std::this_thread::yield();
+}
+
+TEST(ParallelForTest, ConcurrentRunsShareOnePoolQueue) {
+  // N caller threads each start a run; workers pump the pool's one FIFO.
+  // Every run must cover its own range exactly once with no cross-talk,
+  // and the pool counters must account for every morsel of every run.
+  ThreadPool pool(2);
+  constexpr size_t kRuns = 8;
+  constexpr size_t kN = 4096;
+  std::vector<std::vector<std::atomic<int>>> hits(kRuns);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::vector<std::thread> callers;
+  std::vector<Status> results(kRuns);
+  for (size_t r = 0; r < kRuns; ++r) {
+    callers.emplace_back([&, r] {
+      results[r] = ParallelFor(&pool, kN, 64, [&, r](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) hits[r][i].fetch_add(1);
+        return Status::OK();
+      });
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (size_t r = 0; r < kRuns; ++r) {
+    ASSERT_TRUE(results[r].ok()) << "run " << r;
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits[r][i].load(), 1) << "run " << r << " index " << i;
+    }
+  }
+  EXPECT_EQ(pool.morsels_executed(), kRuns * (kN / 64));
+  EXPECT_EQ(pool.morsels_pending(), 0u);
 }
 
 }  // namespace
