@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,6 +47,18 @@ Status OpParallelFor(ExecContext* ctx, OpKind kind, size_t n,
     ctx->op_morsels.fetch_add(m, std::memory_order_relaxed);
   }
   return ParallelFor(ctx->pool, n, grain, fn);
+}
+
+/// OpParallelFor over explicit morsels: `fn(m)` runs once per morsel m,
+/// the rows [bounds[m], bounds[m + 1]) (grain 1 makes each ParallelFor
+/// morsel one index).
+Status OpParallelForMorsels(ExecContext* ctx, OpKind kind,
+                            const std::vector<size_t>& bounds,
+                            const std::function<Status(size_t)>& fn) {
+  size_t m = bounds.size() - 1;
+  if (ctx->op_profile != nullptr) ctx->op_profile->RecordMorsels(kind, m);
+  ctx->op_morsels.fetch_add(m, std::memory_order_relaxed);
+  return ParallelFor(ctx->pool, m, 1, [&](size_t i, size_t) { return fn(i); });
 }
 
 Status ColNotFound(const PlanNode* n, AttrId a, const Catalog& catalog) {
@@ -647,44 +660,50 @@ Result<Table> ExecCartesian(const PlanNode*, Table l, Table r,
   return MergeChunks(std::move(out_cols), std::move(chunks));
 }
 
-Result<Table> ExecJoinInMemory(const PlanNode* n, Table l, Table r,
-                               ExecContext* ctx) {
-  // Partition predicates into hashable equi-predicates (left attr vs right
-  // attr) and residual ones.
-  struct EqPair {
-    int lcol;
-    int rcol;
-  };
-  std::vector<EqPair> eq_pairs;
+/// A join's predicates split into hashable equi-pairs — left column
+/// `lcols[k]` equals right column `rcols[k]` — and the residual rest.
+struct EquiSplit {
+  std::vector<int> lcols;
+  std::vector<int> rcols;
   std::vector<Predicate> residual;
+};
+
+EquiSplit SplitEquiPredicates(const PlanNode* n, const Table& l,
+                              const Table& r) {
+  EquiSplit s;
   for (const Predicate& p : n->predicates) {
     if (p.rhs_is_attr && p.op == CmpOp::kEq) {
       int ll = l.ColIndex(p.lhs), rr = r.ColIndex(p.rhs_attr);
-      if (ll >= 0 && rr >= 0) {
-        eq_pairs.push_back({ll, rr});
-        continue;
+      if (ll < 0 || rr < 0) {
+        ll = l.ColIndex(p.rhs_attr);
+        rr = r.ColIndex(p.lhs);
       }
-      ll = l.ColIndex(p.rhs_attr);
-      rr = r.ColIndex(p.lhs);
       if (ll >= 0 && rr >= 0) {
-        eq_pairs.push_back({ll, rr});
+        s.lcols.push_back(ll);
+        s.rcols.push_back(rr);
         continue;
       }
     }
-    residual.push_back(p);
+    s.residual.push_back(p);
   }
+  return s;
+}
 
+Result<Table> ExecJoinInMemory(const PlanNode* n, Table l, Table r,
+                               const EquiSplit& split, ExecContext* ctx) {
+  const std::vector<int>& lcols = split.lcols;
+  const std::vector<int>& rcols = split.rcols;
   std::vector<ExecColumn> out_cols = ConcatColumns(l, r);
   // Residual predicates bind against the concatenated layout; a zero-row
   // probe table of that layout carries the binding metadata.
   Table layout = TableFromColumns(out_cols, ChunkLike(l, r));
   std::vector<BoundPredicate> bound;
-  for (const Predicate& p : eq_pairs.empty() ? n->predicates : residual) {
+  for (const Predicate& p : lcols.empty() ? n->predicates : split.residual) {
     MPQ_ASSIGN_OR_RETURN(BoundPredicate bp, BindPredicate(p, layout, n, ctx));
     bound.push_back(std::move(bp));
   }
 
-  if (!eq_pairs.empty()) {
+  if (!lcols.empty()) {
     // Hash join on the flat-hash engine: a sequential build over the
     // (usually smaller) left side assigns every row a dense key id — via
     // fixed-width typed code words when every key-column pair shares a
@@ -692,11 +711,6 @@ Result<Table> ExecJoinInMemory(const PlanNode* n, Table l, Table r,
     // key id are laid out CSR-style and a batch-parallel probe over the
     // right side emits (left, right) pairs in the historical order
     // (ascending left row within ascending right row).
-    std::vector<int> lcols, rcols;
-    for (const EqPair& ep : eq_pairs) {
-      lcols.push_back(ep.lcol);
-      rcols.push_back(ep.rcol);
-    }
     bool typed =
         TypedKeyCodec::Eligible(l, lcols) && TypedKeyCodec::Eligible(r, rcols);
     if (typed) {
@@ -936,12 +950,24 @@ void AppendRowIdColumn(Table* t) {
   t->AddColumn(std::move(col), std::move(d));
 }
 
+/// The spill files one partition driver wrote; every one still on disk is
+/// removed when the driver exits, on error as on success.
+struct SpillFiles {
+  std::vector<std::string> paths;
+  ~SpillFiles() {
+    for (const std::string& path : paths) {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);  // already read: a no-op
+    }
+  }
+};
+
 /// Splits `t` into kSpillFanout partitions by salted key-byte hash (equal
 /// keys co-partition; the salt decorrelates recursive generations), writing
-/// each as one compressed segment file. Sequential and deterministic.
-Result<std::vector<std::string>> SpillPartitionTable(
-    const Table& t, const std::vector<int>& key_cols, uint64_t salt,
-    ExecContext* ctx) {
+/// each as one compressed segment file whose path is appended to `files`
+/// before it is written. Sequential and deterministic.
+Status SpillPartitionTable(const Table& t, const std::vector<int>& key_cols,
+                           uint64_t salt, ExecContext* ctx, SpillFiles* files) {
   std::vector<SelectionVector> sels(kSpillFanout);
   std::string key;
   for (size_t r = 0; r < t.num_rows(); ++r) {
@@ -949,7 +975,6 @@ Result<std::vector<std::string>> SpillPartitionTable(
     uint64_t h = SplitMix64(HashBytes(key.data(), key.size()) ^ salt);
     sels[h % kSpillFanout].push_back(static_cast<uint32_t>(r));
   }
-  std::vector<std::string> paths(kSpillFanout);
   for (size_t p = 0; p < kSpillFanout; ++p) {
     Table part;
     for (size_t c = 0; c < t.num_columns(); ++c) {
@@ -959,54 +984,98 @@ Result<std::vector<std::string>> SpillPartitionTable(
       part.AddColumn(t.columns()[c], std::move(d));
     }
     MPQ_ASSIGN_OR_RETURN(std::string bytes, EncodeSegment(part));
-    paths[p] = NextSpillPath(ctx);
-    MPQ_RETURN_NOT_OK(WriteFileBytes(paths[p], bytes));
+    files->paths.push_back(NextSpillPath(ctx));
+    MPQ_RETURN_NOT_OK(WriteFileBytes(files->paths.back(), bytes));
     ctx->spill_partitions.fetch_add(1, std::memory_order_relaxed);
     ctx->spill_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
   }
-  return paths;
+  return Status::OK();
+}
+
+/// One input of a partitioned operator: a table and its key columns.
+struct SpillInput {
+  Table table;
+  std::vector<int> key_cols;
+};
+
+/// The partition driver shared by spilled joins and group-bys. Each input
+/// is hash-partitioned on its key columns into kSpillFanout segment files
+/// (equal keys co-partition across inputs under one salt) and then freed.
+/// Partition p of every input is read back once and handed to `fn(p,
+/// parts)`, in partition order. Every file the driver wrote is removed on
+/// any exit.
+Status ForEachSpillPartition(
+    std::vector<SpillInput> inputs, uint64_t salt, ExecContext* ctx,
+    const std::function<Status(size_t, std::vector<Table>&)>& fn) {
+  SpillFiles files;
+  for (SpillInput& in : inputs) {
+    MPQ_RETURN_NOT_OK(
+        SpillPartitionTable(in.table, in.key_cols, salt, ctx, &files));
+    in.table = Table();
+  }
+  for (size_t p = 0; p < kSpillFanout; ++p) {
+    std::vector<Table> parts(inputs.size());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      MPQ_ASSIGN_OR_RETURN(parts[i],
+                           ReadSpillSegment(files.paths[i * kSpillFanout + p]));
+    }
+    MPQ_RETURN_NOT_OK(fn(p, parts));
+  }
+  return Status::OK();
+}
+
+/// The permutation that sorts rows ascending by row id — `major`, then
+/// `minor` when given; ids are distinct, so the order is total. Spilled
+/// operators restore their in-memory output order with it.
+std::vector<uint32_t> RowIdOrder(size_t n, const int64_t* major,
+                                 const int64_t* minor = nullptr) {
+  std::vector<uint32_t> perm(n);
+  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
+  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
+    if (major[a] != major[b]) return major[a] < major[b];
+    return minor != nullptr && minor[a] < minor[b];
+  });
+  return perm;
 }
 
 /// One spill generation of the partitioned hash join: both (row-id
-/// augmented) sides are hash-partitioned on the join key and written to
-/// disk, then each partition pair is joined — recursively when it still
-/// exceeds the budget — and the outputs are concatenated. Row order within
-/// the concatenation is arbitrary; the wrapper restores the in-memory order
-/// from the row-id columns.
+/// augmented) sides are partitioned on the join key, then each partition
+/// pair is joined — recursively when it still exceeds the budget — and the
+/// outputs are concatenated. Row order within the concatenation is
+/// arbitrary; the wrapper restores the in-memory order from the row-id
+/// columns.
 Result<Table> ExecJoinPartitioned(const PlanNode* n, Table l, Table r,
-                                  const std::vector<int>& lcols,
-                                  const std::vector<int>& rcols,
-                                  ExecContext* ctx, int depth, uint64_t salt) {
+                                  const EquiSplit& split, ExecContext* ctx,
+                                  int depth, uint64_t salt) {
   NoteSpillGeneration(ctx, static_cast<uint64_t>(depth) + 1);
   std::vector<ExecColumn> out_cols = ConcatColumns(l, r);
   Chunk empty_like = ChunkLike(l, r);
-  MPQ_ASSIGN_OR_RETURN(std::vector<std::string> lpaths,
-                       SpillPartitionTable(l, lcols, salt, ctx));
-  MPQ_ASSIGN_OR_RETURN(std::vector<std::string> rpaths,
-                       SpillPartitionTable(r, rcols, salt, ctx));
-  l = Table();
-  r = Table();
+  std::vector<SpillInput> inputs(2);
+  inputs[0] = {std::move(l), split.lcols};
+  inputs[1] = {std::move(r), split.rcols};
   std::vector<Chunk> chunks;
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    MPQ_ASSIGN_OR_RETURN(Table lp, ReadSpillSegment(lpaths[p]));
-    MPQ_ASSIGN_OR_RETURN(Table rp, ReadSpillSegment(rpaths[p]));
-    if (lp.num_rows() == 0 || rp.num_rows() == 0) continue;
-    Result<Table> joined =
-        depth + 1 < kMaxSpillDepth &&
-                lp.ByteSize() + rp.ByteSize() > ctx->memory_budget
-            ? ExecJoinPartitioned(n, std::move(lp), std::move(rp), lcols,
-                                  rcols, ctx, depth + 1,
-                                  SplitMix64(salt + p + 1))
-            : ExecJoinInMemory(n, std::move(lp), std::move(rp), ctx);
-    MPQ_RETURN_NOT_OK(joined.status());
-    if (joined->num_rows() == 0) continue;
-    Chunk ch;
-    ch.reserve(joined->num_columns());
-    for (size_t c = 0; c < joined->num_columns(); ++c) {
-      ch.push_back(std::move(joined->col_mut(c)));
-    }
-    chunks.push_back(std::move(ch));
-  }
+  MPQ_RETURN_NOT_OK(ForEachSpillPartition(
+      std::move(inputs), salt, ctx,
+      [&](size_t p, std::vector<Table>& parts) -> Status {
+        Table& lp = parts[0];
+        Table& rp = parts[1];
+        if (lp.num_rows() == 0 || rp.num_rows() == 0) return Status::OK();
+        Result<Table> joined =
+            depth + 1 < kMaxSpillDepth &&
+                    lp.ByteSize() + rp.ByteSize() > ctx->memory_budget
+                ? ExecJoinPartitioned(n, std::move(lp), std::move(rp), split,
+                                      ctx, depth + 1, SplitMix64(salt + p + 1))
+                : ExecJoinInMemory(n, std::move(lp), std::move(rp), split, ctx);
+        MPQ_RETURN_NOT_OK(joined.status());
+        if (joined->num_rows() == 0) return Status::OK();
+        Chunk ch;
+        ch.reserve(joined->num_columns());
+        for (size_t c = 0; c < joined->num_columns(); ++c) {
+          ch.push_back(std::move(joined->col_mut(c)));
+        }
+        chunks.push_back(std::move(ch));
+        return Status::OK();
+      }));
   if (chunks.empty()) {
     return TableFromColumns(std::move(out_cols), std::move(empty_like));
   }
@@ -1014,28 +1083,15 @@ Result<Table> ExecJoinPartitioned(const PlanNode* n, Table l, Table r,
 }
 
 Result<Table> ExecJoin(const PlanNode* n, Table l, Table r, ExecContext* ctx) {
-  bool spill = ctx->memory_budget != 0 && l.num_rows() > 0 &&
-               r.num_rows() > 0 &&
+  EquiSplit split = SplitEquiPredicates(n, l, r);
+  // The spill path partitions on the equi-join key; without one (pure
+  // theta join) the nested-loop path cannot partition and runs in memory.
+  bool spill = ctx->memory_budget != 0 && !split.lcols.empty() &&
+               l.num_rows() > 0 && r.num_rows() > 0 &&
                l.ByteSize() + r.ByteSize() > ctx->memory_budget;
-  std::vector<int> lcols, rcols;
-  if (spill) {
-    // The spill path partitions on the equi-join key; without one (pure
-    // theta join) the nested-loop path cannot partition and runs in memory.
-    for (const Predicate& p : n->predicates) {
-      if (!p.rhs_is_attr || p.op != CmpOp::kEq) continue;
-      int ll = l.ColIndex(p.lhs), rr = r.ColIndex(p.rhs_attr);
-      if (ll < 0 || rr < 0) {
-        ll = l.ColIndex(p.rhs_attr);
-        rr = r.ColIndex(p.lhs);
-      }
-      if (ll >= 0 && rr >= 0) {
-        lcols.push_back(ll);
-        rcols.push_back(rr);
-      }
-    }
-    spill = !lcols.empty();
+  if (!spill) {
+    return ExecJoinInMemory(n, std::move(l), std::move(r), split, ctx);
   }
-  if (!spill) return ExecJoinInMemory(n, std::move(l), std::move(r), ctx);
 
   size_t ln = l.num_columns(), rn = r.num_columns();
   std::vector<ExecColumn> final_cols = ConcatColumns(l, r);
@@ -1043,19 +1099,14 @@ Result<Table> ExecJoin(const PlanNode* n, Table l, Table r, ExecContext* ctx) {
   AppendRowIdColumn(&r);
   MPQ_ASSIGN_OR_RETURN(
       Table joined,
-      ExecJoinPartitioned(n, std::move(l), std::move(r), lcols, rcols, ctx,
+      ExecJoinPartitioned(n, std::move(l), std::move(r), split, ctx,
                           /*depth=*/0, /*salt=*/0x9e3779b97f4a7c15ull));
   // Restore the in-memory emit order — ascending (right row, left row);
   // every match pair is emitted by exactly one partition pair, so the
   // sorted outputs are bit-identical to the unspilled join.
-  const ColumnData& lrow = joined.col(ln);
-  const ColumnData& rrow = joined.col(ln + 1 + rn);
-  std::vector<uint32_t> perm(joined.num_rows());
-  for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<uint32_t>(i);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    if (rrow.i64()[a] != rrow.i64()[b]) return rrow.i64()[a] < rrow.i64()[b];
-    return lrow.i64()[a] < lrow.i64()[b];
-  });
+  std::vector<uint32_t> perm =
+      RowIdOrder(joined.num_rows(), joined.col(ln + 1 + rn).i64().data(),
+                 joined.col(ln).i64().data());
   Table out;
   for (size_t c = 0; c < final_cols.size(); ++c) {
     size_t src = c < ln ? c : c + 1;  // skip the left row-id column
@@ -1249,17 +1300,17 @@ Status MergeAggState(const Aggregate& agg, const ColumnData* col,
   return Status::Internal("unreachable aggregate function");
 }
 
-/// Hash-aggregated groups of one batch, in first-occurrence order. Group
-/// keys are remembered as the global row index of their first occurrence
+/// Hash-aggregated groups of one morsel, in first-occurrence order. Group
+/// keys are remembered as the operand row index of their first occurrence
 /// plus, on the typed path, the group's code words (directly mergeable
-/// across batches when no batch-local dictionary is involved); states are
+/// across morsels when no morsel-local dictionary is involved); states are
 /// one contiguous arena, `num_aggs` entries per group.
 struct BatchGroups {
   std::vector<size_t> first_row;
   std::vector<uint64_t> key_words;  ///< typed path: width words per group
   std::vector<AggState> states;
   /// Lazy homomorphic staging, one slot per lazy (kEnc-summed) aggregate:
-  /// the batch's ciphertext row indices and their batch-local group ids,
+  /// the morsel's ciphertext row indices and their morsel-local group ids,
   /// appended in row order. Nothing is folded until finalize.
   std::vector<std::vector<uint32_t>> hom_rows;
   std::vector<std::vector<uint32_t>> hom_gids;
@@ -1267,8 +1318,8 @@ struct BatchGroups {
 
 /// Group-by output schema bound against the operand: group key column
 /// indices, aggregate source columns (-1 for count(*)), and the output
-/// column metadata — shared by the in-memory and spilled paths so both
-/// produce identical layouts.
+/// column metadata. A spilled group-by binds once against the whole input
+/// and reuses the schema for every partition (same column layout).
 struct GroupBySchema {
   std::vector<int> group_cols;
   std::vector<int> agg_cols;
@@ -1324,16 +1375,16 @@ Result<GroupBySchema> BindGroupBy(const PlanNode* n, const Table& in,
 }
 
 /// Resolves the fold codecs for homomorphic sums (one per public modulus)
-/// and, when `lazy_slot` is given, assigns a lazy staging slot to each
-/// contiguous-ciphertext (kEnc) summed aggregate. Plaintext group-bys never
-/// pay the setup.
+/// and assigns a lazy staging slot to each contiguous-ciphertext (kEnc)
+/// summed aggregate (-1 elsewhere). Plaintext group-bys never pay the
+/// setup.
 HomCodecMap HomCodecsFor(const PlanNode* n, const Table& in,
                          const std::vector<int>& agg_cols, ExecContext* ctx,
                          std::vector<int>* lazy_slot, size_t* num_lazy) {
   size_t num_aggs = n->aggregates.size();
   HomCodecMap hom_codecs;
-  if (lazy_slot != nullptr) lazy_slot->assign(num_aggs, -1);
-  if (num_lazy != nullptr) *num_lazy = 0;
+  lazy_slot->assign(num_aggs, -1);
+  *num_lazy = 0;
   for (size_t ai = 0; ai < num_aggs; ++ai) {
     const Aggregate& agg = n->aggregates[ai];
     if (agg.func != AggFunc::kSum && agg.func != AggFunc::kAvg) continue;
@@ -1345,8 +1396,7 @@ HomCodecMap HomCodecsFor(const PlanNode* n, const Table& in,
         hom_codecs.emplace(key_id, ColumnCodec(key_id, modulus));
       }
     }
-    if (rep == ColumnRep::kEnc && lazy_slot != nullptr &&
-        num_lazy != nullptr) {
+    if (rep == ColumnRep::kEnc) {
       (*lazy_slot)[ai] = static_cast<int>((*num_lazy)++);
     }
   }
@@ -1355,7 +1405,7 @@ HomCodecMap HomCodecsFor(const PlanNode* n, const Table& in,
 
 /// Materializes one finished aggregate state as its output cell. `col` is
 /// the aggregate's source column (holding `best_row`/`hom_template_row`),
-/// null for count(*). Shared by the in-memory and spilled paths.
+/// null for count(*).
 Result<Cell> AggOutputCell(const Aggregate& agg, const AggState& s,
                            const ColumnData* col) {
   switch (agg.func) {
@@ -1385,12 +1435,26 @@ Result<Cell> AggOutputCell(const Aggregate& agg, const AggState& s,
   return Status::Internal("unreachable aggregate function");
 }
 
-Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
-                                  ExecContext* ctx) {
-  MPQ_ASSIGN_OR_RETURN(GroupBySchema schema, BindGroupBy(n, in, ctx));
-  std::vector<int>& group_cols = schema.group_cols;
-  std::vector<int>& agg_cols = schema.agg_cols;
-  std::vector<ExecColumn>& out_cols = schema.out_cols;
+/// One hash group-by's groups, in first-occurrence order: each group's
+/// first operand row, its key columns, and its finished aggregate cells
+/// (one vector per aggregate).
+struct Groups {
+  std::vector<size_t> first_row;
+  std::vector<ColumnData> keys;
+  std::vector<std::vector<Cell>> aggs;
+};
+
+/// The hash group-by, the one implementation behind in-memory and spilled
+/// execution. Phase 1 aggregates every morsel — operand rows [bounds[m],
+/// bounds[m + 1]) — into private groups in parallel; phase 2 merges them in
+/// morsel order. The boundaries alone fix each sum's floating-point
+/// association, so equal boundaries give bit-identical results at any
+/// thread count.
+Result<Groups> HashGroupBy(const PlanNode* n, const Table& in,
+                           const GroupBySchema& schema,
+                           const std::vector<size_t>& bounds, ExecContext* ctx) {
+  const std::vector<int>& group_cols = schema.group_cols;
+  const std::vector<int>& agg_cols = schema.agg_cols;
 
   // Fold codecs for homomorphic sums, resolved up front so neither the
   // parallel phase nor finalize re-derives Montgomery constants.
@@ -1407,7 +1471,7 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
   // Typed vs byte keys is a whole-operator decision (a single table, so
   // reps cannot mismatch; only the kCell fallback forces byte keys). When
   // no key column needs a dictionary, code words are raw value bits —
-  // comparable across batches, so the merge phase can skip byte keys too.
+  // comparable across morsels, so the merge phase can skip byte keys too.
   bool typed = TypedKeyCodec::Eligible(in, group_cols);
   bool dict_keys = false;
   bool null_word = group_cols.empty();
@@ -1418,20 +1482,20 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
     null_word = null_word || col.has_nulls();
   }
 
-  // Phase 1: each batch hash-aggregates its rows into private groups. Group
-  // ids come from a batch-local flat-hash table over fixed-width key codes
-  // (typed path) or arena-backed byte keys; each aggregate then folds its
-  // own column into the contiguous state arena.
-  std::vector<BatchGroups> batches(in.NumBatches(Grain(ctx)));
-  MPQ_RETURN_NOT_OK(OpParallelFor(
-      ctx, OpKind::kGroupBy, in.num_rows(),
-      [&](size_t begin, size_t end) -> Status {
-        BatchGroups& bg = batches[begin / Grain(ctx)];
+  // Phase 1: each morsel hash-aggregates its rows into private groups.
+  // Group ids come from a morsel-local flat-hash table over fixed-width key
+  // codes (typed path) or arena-backed byte keys; each aggregate then folds
+  // its own column into the contiguous state arena.
+  std::vector<BatchGroups> batches(bounds.size() - 1);
+  MPQ_RETURN_NOT_OK(OpParallelForMorsels(
+      ctx, OpKind::kGroupBy, bounds, [&](size_t m) -> Status {
+        size_t begin = bounds[m], end = bounds[m + 1];
+        BatchGroups& bg = batches[m];
         bg.hom_rows.resize(num_lazy);
         bg.hom_gids.resize(num_lazy);
         std::vector<uint32_t> gid(end - begin);
         // Sized for the all-distinct worst case up front: a high-cardinality
-        // batch never pays a mid-stream rehash.
+        // morsel never pays a mid-stream rehash.
         FlatHashIndex index(end - begin);
         if (typed) {
           TypedKeyCodec codec;
@@ -1599,10 +1663,10 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
         return Status::OK();
       }));
 
-  // Phase 2: merge batch groups in batch order — group order is first
+  // Phase 2: merge morsel groups in morsel order — group order is first
   // occurrence over the whole input, like a sequential scan. On the typed
   // path without dictionary columns, code words are raw value bits and thus
-  // comparable across batches, so unification works on the words directly;
+  // comparable across morsels, so unification works on the words directly;
   // otherwise each group's canonical byte key is re-derived from its first
   // row (cheap: per group, not per row). Either equivalence is byte-key
   // equality exactly as before.
@@ -1614,8 +1678,8 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
   std::vector<AggState> states;
   bool words_merge = typed && !dict_keys;
   size_t kw = group_cols.size() + (null_word ? 1 : 0);
-  // Global lazy staging, one slot per lazy aggregate: batch stages are
-  // concatenated in batch order with group ids remapped to global ids, so
+  // Global lazy staging, one slot per lazy aggregate: morsel stages are
+  // concatenated in morsel order with group ids remapped to global ids, so
   // each group's row list is in ascending row order — identical at any
   // thread count.
   std::vector<std::vector<uint32_t>> hom_rows(num_lazy);
@@ -1686,7 +1750,7 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
   }
 
   // Finalize lazy homomorphic sums: order each aggregate's staged rows by
-  // group (counting sort — batch-ordered stages in, per-group ascending row
+  // group (counting sort — morsel-ordered stages in, per-group ascending row
   // runs out), then fold every group's ciphertexts in one pass. One
   // reusable accumulation context per key serves all groups; each
   // ciphertext is parsed and reduced exactly once.
@@ -1734,221 +1798,123 @@ Result<Table> ExecGroupByInMemory(const PlanNode* n, Table in,
     ctx->op_profile->RecordDetail(OpKind::kGroupBy, arena, staged);
   }
 
-  // Degenerate global aggregation over an empty input: emit no rows
-  // (matching our engine's semantics; SQL would emit one NULL row). The
-  // output is built column-at-a-time: group keys gather from the operand,
-  // aggregates materialize from their states.
-  std::vector<ColumnData> out_data;
-  out_data.reserve(out_cols.size());
-  for (size_t gc = 0; gc < group_cols.size(); ++gc) {
-    const ColumnData& src = in.col(static_cast<size_t>(group_cols[gc]));
+  // Group keys gather from the operand; aggregates materialize from their
+  // states.
+  Groups out;
+  out.first_row = std::move(group_first_row);
+  for (int gc : group_cols) {
+    const ColumnData& src = in.col(static_cast<size_t>(gc));
     ColumnData col(src.rep());
     col.Reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      col.AppendFrom(src, group_first_row[g]);
-    }
-    out_data.push_back(std::move(col));
+    for (size_t row : out.first_row) col.AppendFrom(src, row);
+    out.keys.push_back(std::move(col));
   }
-  for (size_t ai = 0; ai < n->aggregates.size(); ++ai) {
+  out.aggs.resize(num_aggs);
+  for (size_t ai = 0; ai < num_aggs; ++ai) {
     const Aggregate& agg = n->aggregates[ai];
     const ColumnData* src =
         agg_cols[ai] >= 0 ? &in.col(static_cast<size_t>(agg_cols[ai]))
                           : nullptr;
-    std::vector<Cell> cells;
-    cells.reserve(num_groups);
+    out.aggs[ai].reserve(num_groups);
     for (size_t g = 0; g < num_groups; ++g) {
       MPQ_ASSIGN_OR_RETURN(
           Cell cell, AggOutputCell(agg, states[g * num_aggs + ai], src));
-      cells.push_back(std::move(cell));
+      out.aggs[ai].push_back(std::move(cell));
     }
-    out_data.push_back(ColumnFromCells(std::move(cells)));
   }
-  return TableFromColumns(std::move(out_cols), std::move(out_data));
+  return out;
 }
 
-/// Out-of-core group-by: rows are hash-partitioned on the group key (each
-/// group lands wholly in one partition), spilled as compressed segments,
-/// and each partition is aggregated alone with bounded state. Per-group
-/// accumulation replays the in-memory algorithm's exact floating-point
-/// association: partials are accumulated per *global* batch (recovered from
-/// the spilled global-row column) and merged at batch boundaries in
-/// ascending order, so results are bit-identical to the unspilled engine at
-/// any thread count. Ciphertext sums fold eagerly (modular products are
-/// association-independent, so they equal the in-memory lazy fold bit for
-/// bit).
-Result<Table> ExecGroupBySpill(const PlanNode* n, Table in, ExecContext* ctx) {
-  MPQ_ASSIGN_OR_RETURN(GroupBySchema schema, BindGroupBy(n, in, ctx));
-  size_t num_aggs = n->aggregates.size();
-  HomCodecMap hom_codecs = HomCodecsFor(n, in, schema.agg_cols, ctx,
-                                        /*lazy_slot=*/nullptr,
-                                        /*num_lazy=*/nullptr);
+/// The operator's output table: the key columns, then one column per
+/// aggregate built from its cells. Degenerate global aggregation over an
+/// empty input emits no rows (the engine's semantics; SQL would emit one
+/// NULL row).
+Table GroupsTable(std::vector<ExecColumn> out_cols, Groups groups) {
+  std::vector<ColumnData> data = std::move(groups.keys);
+  for (std::vector<Cell>& cells : groups.aggs) {
+    data.push_back(ColumnFromCells(std::move(cells)));
+  }
+  return TableFromColumns(std::move(out_cols), std::move(data));
+}
+
+/// Out-of-core group-by, in one spill generation: the input is
+/// hash-partitioned on the group key (each group lands wholly in one
+/// partition) and every partition runs the hash group-by alone. A
+/// partition's morsels are its runs of rows from one global batch
+/// (recovered from the spilled row-id column), so each group's partials
+/// associate exactly as in memory; groups then take the in-memory order,
+/// ascending global first row. Results are bit-identical to the unspilled
+/// operator at any thread count.
+Result<Table> ExecGroupBySpill(const PlanNode* n, Table in,
+                               GroupBySchema schema, ExecContext* ctx) {
   NoteSpillGeneration(ctx, 1);
-  std::vector<ColumnRep> key_reps;
+  Groups all;  // every partition's groups, concatenated
   for (int gc : schema.group_cols) {
-    key_reps.push_back(in.col(static_cast<size_t>(gc)).rep());
+    all.keys.emplace_back(in.col(static_cast<size_t>(gc)).rep());
   }
-  size_t n_in_cols = in.num_columns();
+  all.aggs.resize(n->aggregates.size());
+  std::vector<int64_t> global_first;  // per group in `all`
+  size_t row_col = in.num_columns();
   AppendRowIdColumn(&in);
-  MPQ_ASSIGN_OR_RETURN(
-      std::vector<std::string> paths,
-      SpillPartitionTable(in, schema.group_cols, 0xc2b2ae3d27d4eb4full, ctx));
-  in = Table();
 
-  // Surviving per-group outputs: the key row (one row per group in the
-  // per-partition key tables), the finalized aggregate cells, and the
-  // group's global first-occurrence row for final ordering.
-  struct GroupRef {
-    uint64_t global_first;
-    uint32_t part;
-    uint32_t local_gid;
-  };
-  std::vector<GroupRef> groups;
-  std::vector<Table> key_tables(kSpillFanout);
-  std::vector<Cell> agg_out;  // stride num_aggs, aligned with `groups`
-
+  // 1-2. Partition the input and run the operator over each partition.
   size_t grain = Grain(ctx);
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    MPQ_ASSIGN_OR_RETURN(Table part, ReadSpillSegment(paths[p]));
-    if (part.num_rows() == 0) continue;
-    const int64_t* grow = part.col(n_in_cols).i64().data();
-    FlatHashIndex index(part.num_rows());
-    ByteArena arena;
-    std::vector<std::pair<uint64_t, uint32_t>> spans;
-    std::vector<uint32_t> local_first;
-    std::vector<AggState> merged_states, partials;
-    std::vector<uint64_t> cur_batch;
-    std::string key;
-    for (size_t r = 0; r < part.num_rows(); ++r) {
-      MPQ_RETURN_NOT_OK(RowKeyBytes(part, schema.group_cols, r, &key));
-      uint64_t batch = static_cast<uint64_t>(grow[r]) / grain;
-      uint32_t g = index.FindOrInsert(
-          HashBytes(key.data(), key.size()),
-          [&](uint32_t id) {
-            return arena.View(spans[id].first, spans[id].second) == key;
-          },
-          [&] {
-            auto id = static_cast<uint32_t>(local_first.size());
-            spans.emplace_back(arena.Append(key.data(), key.size()),
-                               static_cast<uint32_t>(key.size()));
-            local_first.push_back(static_cast<uint32_t>(r));
-            merged_states.resize(merged_states.size() + num_aggs);
-            partials.resize(partials.size() + num_aggs);
-            cur_batch.push_back(batch);
-            return id;
-          });
-      if (batch != cur_batch[g]) {
-        // Global batch boundary: fold this group's partial into its merged
-        // state, in ascending batch order — the in-memory merge order.
-        for (size_t ai = 0; ai < num_aggs; ++ai) {
-          const ColumnData* col =
-              schema.agg_cols[ai] >= 0
-                  ? &part.col(static_cast<size_t>(schema.agg_cols[ai]))
-                  : nullptr;
-          MPQ_RETURN_NOT_OK(MergeAggState(
-              n->aggregates[ai], col, /*lazy_hom=*/false,
-              partials[g * num_aggs + ai], &merged_states[g * num_aggs + ai]));
-          partials[g * num_aggs + ai] = AggState();
+  std::vector<SpillInput> inputs(1);
+  inputs[0] = {std::move(in), schema.group_cols};
+  MPQ_RETURN_NOT_OK(ForEachSpillPartition(
+      std::move(inputs), 0xc2b2ae3d27d4eb4full, ctx,
+      [&](size_t, std::vector<Table>& tables) -> Status {
+        const Table& part = tables[0];
+        if (part.num_rows() == 0) return Status::OK();
+        const int64_t* grow = part.col(row_col).i64().data();
+        std::vector<size_t> bounds{0};
+        for (size_t r = 1; r < part.num_rows(); ++r) {
+          if (static_cast<uint64_t>(grow[r]) / grain !=
+              static_cast<uint64_t>(grow[r - 1]) / grain) {
+            bounds.push_back(r);
+          }
         }
-        cur_batch[g] = batch;
-      }
-      for (size_t ai = 0; ai < num_aggs; ++ai) {
-        const Aggregate& agg = n->aggregates[ai];
-        AggState& s = partials[g * num_aggs + ai];
-        if (agg.func == AggFunc::kCountStar || agg.func == AggFunc::kCount) {
-          s.count++;  // counts fold every row, column or not
-          continue;
+        bounds.push_back(part.num_rows());
+        MPQ_ASSIGN_OR_RETURN(Groups groups,
+                             HashGroupBy(n, part, schema, bounds, ctx));
+        for (size_t row : groups.first_row) global_first.push_back(grow[row]);
+        for (size_t k = 0; k < all.keys.size(); ++k) {
+          all.keys[k].AppendRange(groups.keys[k], 0, groups.keys[k].size());
         }
-        MPQ_RETURN_NOT_OK(AccumulateRow(
-            n, agg, part.col(static_cast<size_t>(schema.agg_cols[ai])), r,
-            hom_codecs, &s));
-      }
-    }
-    size_t part_groups = local_first.size();
-    for (size_t g = 0; g < part_groups; ++g) {
-      for (size_t ai = 0; ai < num_aggs; ++ai) {
-        const ColumnData* col =
-            schema.agg_cols[ai] >= 0
-                ? &part.col(static_cast<size_t>(schema.agg_cols[ai]))
-                : nullptr;
-        MPQ_RETURN_NOT_OK(MergeAggState(
-            n->aggregates[ai], col, /*lazy_hom=*/false,
-            partials[g * num_aggs + ai], &merged_states[g * num_aggs + ai]));
-      }
-    }
-    // Materialize this partition's outputs before its table is freed: one
-    // key row per group (first occurrence) and the finalized cells.
-    Table kt;
-    for (size_t k = 0; k < schema.group_cols.size(); ++k) {
-      const ColumnData& src =
-          part.col(static_cast<size_t>(schema.group_cols[k]));
-      ColumnData d(src.rep());
-      d.Reserve(part_groups);
-      d.AppendSelected(src, local_first.data(), part_groups);
-      kt.AddColumn(part.columns()[static_cast<size_t>(schema.group_cols[k])],
-                   std::move(d));
-    }
-    key_tables[p] = std::move(kt);
-    for (size_t g = 0; g < part_groups; ++g) {
-      groups.push_back({static_cast<uint64_t>(grow[local_first[g]]),
-                        static_cast<uint32_t>(p), static_cast<uint32_t>(g)});
-      for (size_t ai = 0; ai < num_aggs; ++ai) {
-        const ColumnData* col =
-            schema.agg_cols[ai] >= 0
-                ? &part.col(static_cast<size_t>(schema.agg_cols[ai]))
-                : nullptr;
-        MPQ_ASSIGN_OR_RETURN(
-            Cell cell, AggOutputCell(n->aggregates[ai],
-                                     merged_states[g * num_aggs + ai], col));
-        agg_out.push_back(std::move(cell));
-      }
-    }
-  }
+        for (size_t ai = 0; ai < all.aggs.size(); ++ai) {
+          std::move(groups.aggs[ai].begin(), groups.aggs[ai].end(),
+                    std::back_inserter(all.aggs[ai]));
+        }
+        return Status::OK();
+      }));
 
-  // Global output order = ascending first occurrence, the in-memory group
-  // order (first rows are distinct, so the order is total).
-  std::vector<uint32_t> order(groups.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return groups[a].global_first < groups[b].global_first;
-  });
-  std::vector<ColumnData> out_data;
-  out_data.reserve(schema.out_cols.size());
-  for (size_t k = 0; k < schema.group_cols.size(); ++k) {
-    ColumnData col(key_reps[k]);
-    col.Reserve(order.size());
-    for (uint32_t idx : order) {
-      col.AppendFrom(key_tables[groups[idx].part].col(k),
-                     groups[idx].local_gid);
-    }
-    out_data.push_back(std::move(col));
+  // 3-4. Sort groups by global first row and gather the output.
+  std::vector<uint32_t> order =
+      RowIdOrder(global_first.size(), global_first.data());
+  Groups out;
+  for (const ColumnData& keys : all.keys) {
+    out.keys.emplace_back(keys.rep());
+    out.keys.back().AppendSelected(keys, order.data(), order.size());
   }
-  for (size_t ai = 0; ai < num_aggs; ++ai) {
-    std::vector<Cell> cells;
-    cells.reserve(order.size());
-    for (uint32_t idx : order) {
-      cells.push_back(std::move(agg_out[idx * num_aggs + ai]));
-    }
-    out_data.push_back(ColumnFromCells(std::move(cells)));
+  for (std::vector<Cell>& cells : all.aggs) {
+    out.aggs.emplace_back();
+    for (uint32_t i : order) out.aggs.back().push_back(std::move(cells[i]));
   }
-  return TableFromColumns(std::move(schema.out_cols), std::move(out_data));
+  return GroupsTable(std::move(schema.out_cols), std::move(out));
 }
 
 Result<Table> ExecGroupBy(const PlanNode* n, Table in, ExecContext* ctx) {
-  bool spill = ctx->memory_budget != 0 && in.num_rows() > 0 &&
-               !n->group_by.ToVector().empty() &&
-               in.ByteSize() > ctx->memory_budget;
-  if (spill) {
-    // Unresolvable group attributes surface identically from either path;
-    // let the in-memory binder report them.
-    for (AttrId a : n->group_by.ToVector()) {
-      if (in.ColIndex(a) < 0) {
-        spill = false;
-        break;
-      }
-    }
+  MPQ_ASSIGN_OR_RETURN(GroupBySchema schema, BindGroupBy(n, in, ctx));
+  if (ctx->memory_budget != 0 && in.num_rows() > 0 &&
+      !schema.group_cols.empty() && in.ByteSize() > ctx->memory_budget) {
+    return ExecGroupBySpill(n, std::move(in), std::move(schema), ctx);
   }
-  if (!spill) return ExecGroupByInMemory(n, std::move(in), ctx);
-  return ExecGroupBySpill(n, std::move(in), ctx);
+  // In memory, the morsels are the fixed `Grain(ctx)`-row batches.
+  std::vector<size_t> bounds;
+  for (size_t b = 0; b < in.num_rows(); b += Grain(ctx)) bounds.push_back(b);
+  bounds.push_back(in.num_rows());
+  MPQ_ASSIGN_OR_RETURN(Groups groups, HashGroupBy(n, in, schema, bounds, ctx));
+  return GroupsTable(std::move(schema.out_cols), std::move(groups));
 }
 
 Result<Table> ExecUdf(const PlanNode* n, Table in, ExecContext* ctx) {

@@ -1,6 +1,10 @@
 // Tests for the tuple execution engine, plaintext and over ciphertexts.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "assign/schemes.h"
 #include "exec/executor.h"
@@ -240,8 +244,9 @@ TEST_F(ExecutorTest, LazyHomFoldBitIdenticalToEagerCellPathAcrossThreads) {
   crypto_.scheme_of[b.A("P")] = EncScheme::kPaillier;
   // Encrypt P once, then aggregate the same ciphertexts through both fold
   // paths: the contiguous kEnc representation (lazy staged fold) and the
-  // kCell fallback (eager per-row fold). Every variant, at every thread
-  // count, must serialize to exactly the same bytes.
+  // kCell fallback (eager per-row fold), in memory and spilled. Every
+  // variant, at every thread count, must serialize to exactly the same
+  // bytes.
   PlanPtr enc = Finish(Encrypt(b.Rel("Ins"), b.Set("P")));
   Result<Table> enc_t = ExecutePlan(enc.get(), &ctx_);
   ASSERT_TRUE(enc_t.ok()) << enc_t.status().ToString();
@@ -264,17 +269,23 @@ TEST_F(ExecutorTest, LazyHomFoldBitIdenticalToEagerCellPathAcrossThreads) {
   ctx_.batch_size = 2;  // several batches even over the 4-row table
   ThreadPool pool2(2), pool8(8);
   std::vector<std::string> wires;
-  for (const Table* base : {&lazy_t, &eager_t}) {
-    for (ThreadPool* pool :
-         {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
-      ctx_.base_tables[ex_->ins] = base;
-      ctx_.pool = pool;
-      Result<Table> t = ExecutePlan(gb.get(), &ctx_);
-      ASSERT_TRUE(t.ok()) << t.status().ToString();
-      ASSERT_EQ(t->num_rows(), 4u);
-      wires.push_back(t->SerializeColumns());
+  for (uint64_t budget : {uint64_t{0}, uint64_t{1}}) {
+    for (const Table* base : {&lazy_t, &eager_t}) {
+      for (ThreadPool* pool :
+           {static_cast<ThreadPool*>(nullptr), &pool2, &pool8}) {
+        ctx_.base_tables[ex_->ins] = base;
+        ctx_.pool = pool;
+        ctx_.memory_budget = budget;
+        uint64_t spilled = ctx_.spill_partitions.load();
+        Result<Table> t = ExecutePlan(gb.get(), &ctx_);
+        ASSERT_TRUE(t.ok()) << t.status().ToString();
+        ASSERT_EQ(t->num_rows(), 4u);
+        EXPECT_EQ(ctx_.spill_partitions.load() > spilled, budget != 0);
+        wires.push_back(t->SerializeColumns());
+      }
     }
   }
+  ASSERT_EQ(wires.size(), 12u);
   for (size_t i = 1; i < wires.size(); ++i) {
     EXPECT_EQ(wires[i], wires[0]) << "variant " << i;
   }
@@ -301,6 +312,26 @@ TEST_F(ExecutorTest, SumOverDetFails) {
   Result<Table> t = ExecutePlan(p.get(), &ctx_);
   EXPECT_FALSE(t.ok());
   EXPECT_EQ(t.status().code(), StatusCode::kUnsupported);
+}
+
+TEST_F(ExecutorTest, SpillErrorLeavesNoSpillFiles) {
+  PlanBuilder b = ex_->builder();
+  crypto_.scheme_of[b.A("P")] = EncScheme::kDeterministic;
+  PlanPtr p = Finish(GroupBy(Encrypt(b.Rel("Ins"), b.Set("P")), b.Set("C"),
+                             {Aggregate::Make(AggFunc::kSum, b.A("P"))}));
+  std::string name = "mpq_spill_error_test_" + std::to_string(getpid());
+  std::filesystem::path dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  ctx_.memory_budget = 1;
+  ctx_.spill_dir = dir.string();
+  Result<Table> t = ExecutePlan(p.get(), &ctx_);
+  // The first non-empty partition fails its sum; the partitions written
+  // but never read must not stay behind.
+  EXPECT_EQ(t.status().code(), StatusCode::kUnsupported);
+  EXPECT_GT(ctx_.spill_partitions.load(), 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ExecutorTest, EncryptWithoutKeyFails) {

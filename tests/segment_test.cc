@@ -462,36 +462,47 @@ TEST_F(SegmentExecTest, SpilledJoinIsBitIdenticalAtEveryThreadCount) {
 
 TEST_F(SegmentExecTest, SpilledGroupByIsBitIdenticalAtEveryThreadCount) {
   PlanBuilder b = ex_->builder();
+  std::vector<PlanPtr> plans;
   // Double-valued aggregates over many multi-batch groups: the spilled
   // path must reproduce the in-memory floating-point merge association
   // exactly, not approximately.
-  PlanPtr p = Finish(GroupBy(b.Rel("Ins"), b.Set("C"),
-                             {Aggregate::Make(AggFunc::kSum, b.A("P")),
-                              Aggregate::Make(AggFunc::kAvg, b.A("P")),
-                              Aggregate::CountStar(b.A("C"))}));
-
-  Result<Table> in_memory = RunInMemory(p.get(), nullptr);
-  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-  ASSERT_GT(in_memory->num_rows(), 0u);
-  const std::string want = in_memory->SerializeColumns();
-
-  ReferenceExecutor oracle(&ex_->catalog);
-  oracle.LoadTable(ex_->hosp, &hosp_);
-  oracle.LoadTable(ex_->ins, &ins_);
-  Result<Table> ref = oracle.Run(p.get());
-  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  ASSERT_EQ(CanonicalRows(*in_memory), CanonicalRows(*ref));
+  plans.push_back(Finish(GroupBy(b.Rel("Ins"), b.Set("C"),
+                                 {Aggregate::Make(AggFunc::kSum, b.A("P")),
+                                  Aggregate::Make(AggFunc::kAvg, b.A("P")),
+                                  Aggregate::CountStar(b.A("C"))})));
+  // String keys (dictionary codes on the typed key path) and min/max/sum
+  // over B, which holds NULLs: the null word and the first-occurrence
+  // min/max tie-breaks must survive partitioning too.
+  plans.push_back(Finish(GroupBy(b.Rel("Hosp"), b.Set("D,T"),
+                                 {Aggregate::Make(AggFunc::kMin, b.A("B")),
+                                  Aggregate::Make(AggFunc::kMax, b.A("B")),
+                                  Aggregate::Make(AggFunc::kSum, b.A("B"))})));
 
   ThreadPool two(2), eight(8);
-  for (ThreadPool* pool :
-       {static_cast<ThreadPool*>(nullptr), &two, &eight}) {
-    ExecContext ctx;
-    Result<Table> spilled = RunInMemory(p.get(), pool, 1024, &ctx);
-    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-    EXPECT_EQ(spilled->SerializeColumns(), want)
-        << "spilled group-by diverges at "
-        << (pool == nullptr ? 1 : pool->size()) << " threads";
-    EXPECT_GT(ctx.spill_partitions.load(), 0u);
+  for (size_t pi = 0; pi < plans.size(); ++pi) {
+    const PlanNode* p = plans[pi].get();
+    Result<Table> in_memory = RunInMemory(p, nullptr);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+    ASSERT_GT(in_memory->num_rows(), 0u);
+    const std::string want = in_memory->SerializeColumns();
+
+    ReferenceExecutor oracle(&ex_->catalog);
+    oracle.LoadTable(ex_->hosp, &hosp_);
+    oracle.LoadTable(ex_->ins, &ins_);
+    Result<Table> ref = oracle.Run(p);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ASSERT_EQ(CanonicalRows(*in_memory), CanonicalRows(*ref));
+
+    for (ThreadPool* pool :
+         {static_cast<ThreadPool*>(nullptr), &two, &eight}) {
+      ExecContext ctx;
+      Result<Table> spilled = RunInMemory(p, pool, 1024, &ctx);
+      ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+      EXPECT_EQ(spilled->SerializeColumns(), want)
+          << "spilled group-by " << pi << " diverges at "
+          << (pool == nullptr ? 1 : pool->size()) << " threads";
+      EXPECT_GT(ctx.spill_partitions.load(), 0u);
+    }
   }
 }
 
