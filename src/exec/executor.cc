@@ -26,11 +26,11 @@
 
 namespace mpq {
 
-namespace {
+namespace exec_internal {
 
 /// Batch size with the zero value normalized, matching Table::Batch and the
 /// ParallelFor grain so `begin / Grain(ctx)` is always a valid batch index.
-size_t Grain(const ExecContext* ctx) {
+inline size_t Grain(const ExecContext* ctx) {
   return ctx->batch_size == 0 ? 1 : ctx->batch_size;
 }
 
@@ -111,7 +111,7 @@ Result<BoundPredicate> BindPredicate(const Predicate& p, const Table& t,
   return bp;
 }
 
-bool ApplyCmp(CmpOp op, int c) {
+inline bool ApplyCmp(CmpOp op, int c) {
   switch (op) {
     case CmpOp::kEq:
       return c == 0;
@@ -129,18 +129,19 @@ bool ApplyCmp(CmpOp op, int c) {
   return false;
 }
 
-bool PlainTypedRep(ColumnRep r) {
+inline bool PlainTypedRep(ColumnRep r) {
   return r == ColumnRep::kInt64 || r == ColumnRep::kDouble ||
          r == ColumnRep::kString;
 }
 
 /// Value::Compare's type tag: NULL 0, numeric 1, string 2.
-int RepClass(ColumnRep r) { return r == ColumnRep::kString ? 2 : 1; }
+inline int RepClass(ColumnRep r) { return r == ColumnRep::kString ? 2 : 1; }
 
 /// Three-way comparison of plain typed rows `(a, i)` vs `(b, j)`,
 /// bit-compatible with Value::Compare (NULL first, numerics compared as
 /// double, number-vs-string by type tag).
-int CmpPlainRows(const ColumnData& a, size_t i, const ColumnData& b, size_t j) {
+inline int CmpPlainRows(const ColumnData& a, size_t i, const ColumnData& b,
+                        size_t j) {
   bool an = a.IsNull(i), bn = b.IsNull(j);
   if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
   int ca = RepClass(a.rep()), cb = RepClass(b.rep());
@@ -159,7 +160,8 @@ int CmpPlainRows(const ColumnData& a, size_t i, const ColumnData& b, size_t j) {
 }
 
 /// CompareCells over two ciphertext cells, operating on EncValues directly.
-Result<bool> CmpEncRows(CmpOp op, const EncValue& ea, const EncValue& eb) {
+inline Result<bool> CmpEncRows(CmpOp op, const EncValue& ea,
+                               const EncValue& eb) {
   if (ea.scheme != eb.scheme || ea.key_id != eb.key_id) {
     return Status::Unsupported(
         "cannot compare ciphertexts under different schemes or keys");
@@ -579,8 +581,8 @@ bool KeyColsNeedNullWord(const Table& t, const std::vector<int>& cols) {
 /// exactly per-column byte equality, the same relation the typed code
 /// words implement. Stored in a ByteArena behind a FlatHashIndex instead
 /// of per-key std::unordered_map nodes.
-Status RowKeyBytes(const Table& t, const std::vector<int>& cols, size_t r,
-                   std::string* key) {
+inline Status RowKeyBytes(const Table& t, const std::vector<int>& cols,
+                          size_t r, std::string* key) {
   key->clear();
   for (int c : cols) {
     size_t start = key->size();
@@ -1025,10 +1027,10 @@ Status ForEachSpillPartition(
 }
 
 /// The permutation that sorts rows ascending by row id — `major`, then
-/// `minor` when given; ids are distinct, so the order is total. Spilled
+/// `minor` when not null; ids are distinct, so the order is total. Spilled
 /// operators restore their in-memory output order with it.
 std::vector<uint32_t> RowIdOrder(size_t n, const int64_t* major,
-                                 const int64_t* minor = nullptr) {
+                                 const int64_t* minor) {
   std::vector<uint32_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
   std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
@@ -1890,7 +1892,7 @@ Result<Table> ExecGroupBySpill(const PlanNode* n, Table in,
 
   // 3-4. Sort groups by global first row and gather the output.
   std::vector<uint32_t> order =
-      RowIdOrder(global_first.size(), global_first.data());
+      RowIdOrder(global_first.size(), global_first.data(), nullptr);
   Groups out;
   for (const ColumnData& keys : all.keys) {
     out.keys.emplace_back(keys.rep());
@@ -2070,7 +2072,7 @@ Result<Table> ExecDecrypt(const PlanNode* n, Table in, ExecContext* ctx) {
   return in;
 }
 
-}  // namespace
+}  // namespace exec_internal
 
 Result<Cell> DefaultUdf(const std::vector<Cell>& cells) {
   // Default udf: over plaintext, a weighted numeric combination; over
@@ -2119,6 +2121,7 @@ Table MakeBaseTable(const RelationDef& rel) {
   return Table(std::move(cols));
 }
 
+namespace exec_internal {
 namespace {
 
 Result<Table> DispatchNode(const PlanNode* n, std::vector<Table> inputs,
@@ -2223,11 +2226,12 @@ Result<Table> ZoneMapScan(const SegmentedTable& st, const PlanNode* sel,
 }
 
 }  // namespace
+}  // namespace exec_internal
 
 Result<Table> ExecuteNodeOnInputs(const PlanNode* n, std::vector<Table> inputs,
                                   ExecContext* ctx) {
   if (ctx->op_profile == nullptr && ctx->trace == nullptr) {
-    return DispatchNode(n, std::move(inputs), ctx);
+    return exec_internal::DispatchNode(n, std::move(inputs), ctx);
   }
   uint64_t rows_in = 0;
   for (const Table& t : inputs) rows_in += t.num_rows();
@@ -2238,7 +2242,8 @@ Result<Table> ExecuteNodeOnInputs(const PlanNode* n, std::vector<Table> inputs,
   }
   uint64_t morsels0 = ctx->op_morsels.load(std::memory_order_relaxed);
   auto t0 = std::chrono::steady_clock::now();
-  Result<Table> result = DispatchNode(n, std::move(inputs), ctx);
+  Result<Table> result =
+      exec_internal::DispatchNode(n, std::move(inputs), ctx);
   auto ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -2272,7 +2277,8 @@ Result<Table> ExecutePlan(const PlanNode* root, ExecContext* ctx) {
     if (ctx->base_tables.find(base->rel) == ctx->base_tables.end()) {
       auto st = ctx->segment_tables.find(base->rel);
       if (st != ctx->segment_tables.end()) {
-        MPQ_ASSIGN_OR_RETURN(Table in, ZoneMapScan(*st->second, root, ctx));
+        MPQ_ASSIGN_OR_RETURN(Table in, exec_internal::ZoneMapScan(
+                                           *st->second, root, ctx));
         std::vector<Table> one;
         one.push_back(std::move(in));
         return ExecuteNodeOnInputs(root, std::move(one), ctx);
