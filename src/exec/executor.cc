@@ -1,38 +1,20 @@
 #include "exec/executor.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
-#include <unistd.h>
-
-#include "common/flat_hash.h"
 #include "common/rng.h"
 #include "common/str_util.h"
-#include "crypto/cipher.h"
-#include "crypto/column_codec.h"
+#include "exec/exec_internal.h"
 #include "obs/trace.h"
 #include "storage/segment.h"
 
 namespace mpq {
 
 namespace exec_internal {
-
-/// Batch size with the zero value normalized, matching Table::Batch and the
-/// ParallelFor grain so `begin / Grain(ctx)` is always a valid batch index.
-inline size_t Grain(const ExecContext* ctx) {
-  return ctx->batch_size == 0 ? 1 : ctx->batch_size;
-}
 
 /// The per-batch loop of operator `kind`: ParallelFor over the context's
 /// pool, so every concurrent query draws from the pool's one morsel queue.
@@ -49,272 +31,10 @@ Status OpParallelFor(ExecContext* ctx, OpKind kind, size_t n,
   return ParallelFor(ctx->pool, n, grain, fn);
 }
 
-/// OpParallelFor over explicit morsels: `fn(m)` runs once per morsel m,
-/// the rows [bounds[m], bounds[m + 1]) (grain 1 makes each ParallelFor
-/// morsel one index).
-Status OpParallelForMorsels(ExecContext* ctx, OpKind kind,
-                            const std::vector<size_t>& bounds,
-                            const std::function<Status(size_t)>& fn) {
-  size_t m = bounds.size() - 1;
-  if (ctx->op_profile != nullptr) ctx->op_profile->RecordMorsels(kind, m);
-  ctx->op_morsels.fetch_add(m, std::memory_order_relaxed);
-  return ParallelFor(ctx->pool, m, 1, [&](size_t i, size_t) { return fn(i); });
-}
-
 Status ColNotFound(const PlanNode* n, AttrId a, const Catalog& catalog) {
   return Status::Internal(StrFormat(
       "node %d (%s): attribute %s not found in operand table", n->id,
       OpKindName(n->kind), catalog.attrs().Name(a).c_str()));
-}
-
-/// Encrypts a predicate constant to match an encrypted column, using the
-/// dispatcher's keys (conditions arrive pre-encrypted in real dispatch).
-Result<Cell> ConstForColumn(const ExecColumn& col, const Value& v,
-                            ExecContext* ctx) {
-  if (!col.encrypted) return Cell(v);
-  if (ctx->dispatcher_keyring == nullptr) {
-    return Status::NotFound("no dispatcher keyring to encrypt constants");
-  }
-  MPQ_ASSIGN_OR_RETURN(KeyMaterial km,
-                       ctx->dispatcher_keyring->Get(col.key_id));
-  MPQ_ASSIGN_OR_RETURN(
-      EncValue ev,
-      EncryptValue(v, col.scheme, col.key_id, km, ctx->NextNonce()));
-  return Cell(std::move(ev));
-}
-
-/// One predicate bound to column indices of an operand table. Constants for
-/// encrypted columns are bound once per operator, then shared read-only by
-/// all batches.
-struct BoundPredicate {
-  CmpOp op;
-  int lhs_col;
-  int rhs_col = -1;     // >= 0 for attr-attr predicates
-  Cell rhs_const;       // used when rhs_col < 0
-};
-
-Result<BoundPredicate> BindPredicate(const Predicate& p, const Table& t,
-                                     const PlanNode* n, ExecContext* ctx) {
-  BoundPredicate bp;
-  bp.op = p.op;
-  bp.lhs_col = t.ColIndex(p.lhs);
-  if (bp.lhs_col < 0) return ColNotFound(n, p.lhs, *ctx->catalog);
-  if (p.rhs_is_attr) {
-    bp.rhs_col = t.ColIndex(p.rhs_attr);
-    if (bp.rhs_col < 0) return ColNotFound(n, p.rhs_attr, *ctx->catalog);
-  } else {
-    MPQ_ASSIGN_OR_RETURN(
-        bp.rhs_const,
-        ConstForColumn(t.columns()[static_cast<size_t>(bp.lhs_col)],
-                       p.rhs_value, ctx));
-  }
-  return bp;
-}
-
-inline bool ApplyCmp(CmpOp op, int c) {
-  switch (op) {
-    case CmpOp::kEq:
-      return c == 0;
-    case CmpOp::kNe:
-      return c != 0;
-    case CmpOp::kLt:
-      return c < 0;
-    case CmpOp::kLe:
-      return c <= 0;
-    case CmpOp::kGt:
-      return c > 0;
-    case CmpOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
-inline bool PlainTypedRep(ColumnRep r) {
-  return r == ColumnRep::kInt64 || r == ColumnRep::kDouble ||
-         r == ColumnRep::kString;
-}
-
-/// Value::Compare's type tag: NULL 0, numeric 1, string 2.
-inline int RepClass(ColumnRep r) { return r == ColumnRep::kString ? 2 : 1; }
-
-/// Three-way comparison of plain typed rows `(a, i)` vs `(b, j)`,
-/// bit-compatible with Value::Compare (NULL first, numerics compared as
-/// double, number-vs-string by type tag).
-inline int CmpPlainRows(const ColumnData& a, size_t i, const ColumnData& b,
-                        size_t j) {
-  bool an = a.IsNull(i), bn = b.IsNull(j);
-  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
-  int ca = RepClass(a.rep()), cb = RepClass(b.rep());
-  if (ca != cb) return ca < cb ? -1 : 1;
-  if (ca == 2) {
-    int c = a.str()[i].compare(b.str()[j]);
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  double x = a.rep() == ColumnRep::kInt64 ? static_cast<double>(a.i64()[i])
-                                          : a.f64()[i];
-  double y = b.rep() == ColumnRep::kInt64 ? static_cast<double>(b.i64()[j])
-                                          : b.f64()[j];
-  if (x < y) return -1;
-  if (x > y) return 1;
-  return 0;
-}
-
-/// CompareCells over two ciphertext cells, operating on EncValues directly.
-inline Result<bool> CmpEncRows(CmpOp op, const EncValue& ea,
-                               const EncValue& eb) {
-  if (ea.scheme != eb.scheme || ea.key_id != eb.key_id) {
-    return Status::Unsupported(
-        "cannot compare ciphertexts under different schemes or keys");
-  }
-  switch (ea.scheme) {
-    case EncScheme::kDeterministic:
-      if (op == CmpOp::kEq) return ea.blob == eb.blob;
-      if (op == CmpOp::kNe) return ea.blob != eb.blob;
-      return Status::Unsupported(
-          "deterministic ciphertexts support only equality comparison");
-    case EncScheme::kOpe:
-      return ApplyCmp(op, ea.blob.compare(eb.blob));
-    case EncScheme::kRandom:
-      return Status::Unsupported("randomized ciphertexts are not comparable");
-    case EncScheme::kPaillier:
-      return Status::Unsupported("Paillier ciphertexts are not comparable");
-  }
-  return Status::Internal("unreachable scheme");
-}
-
-/// Refines `sel` (ascending row indices into `t`) down to the rows
-/// satisfying `bp`, column-at-a-time. Typed plain and DET/OPE ciphertext
-/// columns take branch-light vector paths; anything unusual falls back to
-/// materialized CompareCells with identical semantics.
-Status FilterSelection(const BoundPredicate& bp, const Table& t,
-                       SelectionVector* sel) {
-  const ColumnData& lhs = t.col(static_cast<size_t>(bp.lhs_col));
-  size_t kept = 0;
-  SelectionVector& s = *sel;
-
-  // Attr-attr predicates.
-  if (bp.rhs_col >= 0) {
-    const ColumnData& rhs = t.col(static_cast<size_t>(bp.rhs_col));
-    if (PlainTypedRep(lhs.rep()) && PlainTypedRep(rhs.rep())) {
-      for (uint32_t r : s) {
-        if (ApplyCmp(bp.op, CmpPlainRows(lhs, r, rhs, r))) s[kept++] = r;
-      }
-      s.resize(kept);
-      return Status::OK();
-    }
-    if (lhs.rep() == ColumnRep::kEnc && rhs.rep() == ColumnRep::kEnc) {
-      for (uint32_t r : s) {
-        if (lhs.IsNull(r) || rhs.IsNull(r)) {
-          // A plain NULL inside a ciphertext column: defer to the generic
-          // cell comparison (mixed plain/encrypted is an error there).
-          MPQ_ASSIGN_OR_RETURN(
-              bool keep, CompareCells(bp.op, lhs.GetCell(r), rhs.GetCell(r)));
-          if (keep) s[kept++] = r;
-          continue;
-        }
-        MPQ_ASSIGN_OR_RETURN(bool keep,
-                             CmpEncRows(bp.op, lhs.enc()[r], rhs.enc()[r]));
-        if (keep) s[kept++] = r;
-      }
-      s.resize(kept);
-      return Status::OK();
-    }
-    for (uint32_t r : s) {
-      MPQ_ASSIGN_OR_RETURN(
-          bool keep, CompareCells(bp.op, lhs.GetCell(r), rhs.GetCell(r)));
-      if (keep) s[kept++] = r;
-    }
-    s.resize(kept);
-    return Status::OK();
-  }
-
-  // Attr-constant predicates.
-  if (bp.rhs_const.is_plain() && PlainTypedRep(lhs.rep())) {
-    const Value& v = bp.rhs_const.plain();
-    int cclass = v.is_null() ? 0 : (v.is_string() ? 2 : 1);
-    double num = cclass == 1 ? v.AsDouble() : 0;
-    const std::string* str = cclass == 2 ? &v.AsString() : nullptr;
-    int lclass = RepClass(lhs.rep());
-    for (uint32_t r : s) {
-      int cmp;
-      if (lhs.IsNull(r)) {
-        cmp = cclass == 0 ? 0 : -1;
-      } else if (cclass == 0) {
-        cmp = 1;
-      } else if (lclass != cclass) {
-        cmp = lclass < cclass ? -1 : 1;
-      } else if (lclass == 2) {
-        int c = lhs.str()[r].compare(*str);
-        cmp = c < 0 ? -1 : (c > 0 ? 1 : 0);
-      } else {
-        double x = lhs.rep() == ColumnRep::kInt64
-                       ? static_cast<double>(lhs.i64()[r])
-                       : lhs.f64()[r];
-        cmp = x < num ? -1 : (x > num ? 1 : 0);
-      }
-      if (ApplyCmp(bp.op, cmp)) s[kept++] = r;
-    }
-    s.resize(kept);
-    return Status::OK();
-  }
-  if (bp.rhs_const.is_encrypted() && lhs.rep() == ColumnRep::kEnc) {
-    const EncValue& ev = bp.rhs_const.enc();
-    for (uint32_t r : s) {
-      if (lhs.IsNull(r)) {
-        MPQ_ASSIGN_OR_RETURN(
-            bool keep, CompareCells(bp.op, lhs.GetCell(r), bp.rhs_const));
-        if (keep) s[kept++] = r;
-        continue;
-      }
-      MPQ_ASSIGN_OR_RETURN(bool keep, CmpEncRows(bp.op, lhs.enc()[r], ev));
-      if (keep) s[kept++] = r;
-    }
-    s.resize(kept);
-    return Status::OK();
-  }
-  for (uint32_t r : s) {
-    MPQ_ASSIGN_OR_RETURN(bool keep,
-                         CompareCells(bp.op, lhs.GetCell(r), bp.rhs_const));
-    if (keep) s[kept++] = r;
-  }
-  s.resize(kept);
-  return Status::OK();
-}
-
-Status FilterAll(const std::vector<BoundPredicate>& preds, const Table& t,
-                 SelectionVector* sel) {
-  for (const BoundPredicate& bp : preds) {
-    if (sel->empty()) return Status::OK();
-    MPQ_RETURN_NOT_OK(FilterSelection(bp, t, sel));
-  }
-  return Status::OK();
-}
-
-/// A batch's output columns, merged into the final table in batch order.
-using Chunk = std::vector<ColumnData>;
-
-/// An empty chunk whose column reps mirror the actual source columns (not
-/// just the metadata), so gathers stay on the typed fast path even for
-/// demoted columns.
-Chunk ChunkLike(const Table& t) {
-  Chunk ch;
-  ch.reserve(t.num_columns());
-  for (size_t c = 0; c < t.num_columns(); ++c) {
-    ch.emplace_back(t.col(c).rep());
-  }
-  return ch;
-}
-
-Chunk ChunkLike(const Table& l, const Table& r) {
-  Chunk ch;
-  ch.reserve(l.num_columns() + r.num_columns());
-  for (size_t c = 0; c < l.num_columns(); ++c) {
-    ch.emplace_back(l.col(c).rep());
-  }
-  for (size_t c = 0; c < r.num_columns(); ++c) {
-    ch.emplace_back(r.col(c).rep());
-  }
-  return ch;
 }
 
 Table TableFromColumns(std::vector<ExecColumn> cols,
@@ -345,1579 +65,7 @@ Table MergeChunks(std::vector<ExecColumn> cols, std::vector<Chunk> chunks) {
   return TableFromColumns(std::move(cols), std::move(data));
 }
 
-Result<Table> ExecProject(const PlanNode* n, Table in, ExecContext* ctx) {
-  std::vector<int> keep;
-  for (size_t i = 0; i < in.num_columns(); ++i) {
-    if (n->attrs.Contains(in.columns()[i].attr)) {
-      keep.push_back(static_cast<int>(i));
-    }
-  }
-  if (keep.size() != n->attrs.size()) {
-    AttrSet missing = n->attrs;
-    for (int i : keep) missing.Erase(in.columns()[static_cast<size_t>(i)].attr);
-    return ColNotFound(n, missing.ToVector().front(), *ctx->catalog);
-  }
-  // Pure column movement: no per-row work at all — shared payloads, so a
-  // projection over a base scan copies zero cells.
-  Table out;
-  for (int i : keep) {
-    size_t c = static_cast<size_t>(i);
-    out.AddColumn(std::move(in.columns()[c]), in.ShareCol(c));
-  }
-  return out;
-}
-
-Result<Table> ExecSelect(const PlanNode* n, Table in, ExecContext* ctx) {
-  std::vector<BoundPredicate> preds;
-  for (const Predicate& p : n->predicates) {
-    MPQ_ASSIGN_OR_RETURN(BoundPredicate bp, BindPredicate(p, in, n, ctx));
-    preds.push_back(std::move(bp));
-  }
-  // Phase 1 (parallel): per-batch selection vectors.
-  std::vector<SelectionVector> sels(in.NumBatches(Grain(ctx)));
-  MPQ_RETURN_NOT_OK(OpParallelFor(
-      ctx, OpKind::kSelect, in.num_rows(),
-      [&](size_t begin, size_t end) -> Status {
-        SelectionVector& sel = sels[begin / Grain(ctx)];
-        sel.resize(end - begin);
-        for (size_t r = begin; r < end; ++r) {
-          sel[r - begin] = static_cast<uint32_t>(r);
-        }
-        return FilterAll(preds, in, &sel);
-      }));
-  size_t total = 0;
-  for (const SelectionVector& sel : sels) total += sel.size();
-  if (total == in.num_rows()) return in;  // nothing filtered: reuse columns
-
-  // Phase 2: gather the survivors column-at-a-time, in batch order.
-  std::vector<ColumnData> data;
-  data.reserve(in.num_columns());
-  for (size_t c = 0; c < in.num_columns(); ++c) {
-    ColumnData col(in.col(c).rep());
-    col.Reserve(total);
-    for (const SelectionVector& sel : sels) {
-      col.AppendSelected(in.col(c), sel.data(), sel.size());
-    }
-    data.push_back(std::move(col));
-  }
-  return TableFromColumns(in.columns(), std::move(data));
-}
-
-// ---------------------------------------------------- join/group-by keys ---
-
-/// How one key column folds into the fixed-width code words of the typed
-/// hash path.
-enum class KeyKind : uint8_t { kI64, kF64, kStr, kEnc, kBytes };
-
-KeyKind KindOf(const ColumnData& c) {
-  switch (c.rep()) {
-    case ColumnRep::kInt64:
-      return KeyKind::kI64;
-    case ColumnRep::kDouble:
-      return KeyKind::kF64;
-    case ColumnRep::kString:
-      return KeyKind::kStr;
-    case ColumnRep::kEnc:
-      return KeyKind::kEnc;
-    case ColumnRep::kCell:
-      return KeyKind::kBytes;
-  }
-  return KeyKind::kBytes;
-}
-
-/// Probe rows holding a dictionary value the build side never interned are
-/// flagged here in the null word; the bit is never set on a build key, so
-/// equality always fails without consulting any dictionary twice.
-constexpr uint64_t kProbeMissBit = 1ull << 63;
-
-/// Encodes the key columns of a table over a row range as fixed-width code
-/// words: one word per column — raw int64/double bits, or a ColumnDict code
-/// for string and DET/OPE ciphertext columns — plus a trailing null/miss
-/// word when any key column can hold NULLs (or a probe can miss a
-/// dictionary). Word-tuple equality reproduces per-column AppendKeyBytes
-/// equality (the caller pairs only same-rep columns for joins): NULL
-/// matches NULL, doubles compare bitwise, strings/blobs by content via the
-/// dictionary. No key byte is ever materialized.
-class TypedKeyCodec {
- public:
-  /// The typed path covers every rep except the heterogeneous kCell
-  /// fallback (and caps key arity so null bits fit one word).
-  static bool Eligible(const Table& t, const std::vector<int>& cols) {
-    if (cols.size() >= 62) return false;
-    for (int c : cols) {
-      if (t.col(static_cast<size_t>(c)).rep() == ColumnRep::kCell) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// `with_null_word` must be set when any key column (of the build or a
-  /// probe table) can hold NULLs, or when dictionary probes can miss; an
-  /// empty key always keeps the word so rows have nonzero width.
-  void Init(const Table& t, const std::vector<int>& cols,
-            bool with_null_word) {
-    null_word_ = with_null_word || cols.empty();
-    cols_.clear();
-    kinds_.clear();
-    dicts_.clear();
-    for (int c : cols) {
-      const ColumnData& col = t.col(static_cast<size_t>(c));
-      cols_.push_back(&col);
-      KeyKind kind = KindOf(col);
-      kinds_.push_back(kind);
-      dicts_.push_back(kind == KeyKind::kStr || kind == KeyKind::kEnc
-                           ? std::make_unique<ColumnDict>(&col)
-                           : nullptr);
-    }
-  }
-
-  /// Words per row: one per key column, plus the null/miss word if present.
-  size_t width() const { return cols_.size() + (null_word_ ? 1 : 0); }
-
-  /// Encodes rows [begin, end) of the Init table into `words` (row-major,
-  /// width() words per row), interning new dictionary codes — the build
-  /// side, which must run sequentially for deterministic codes.
-  Status EncodeBuild(size_t begin, size_t end, std::vector<uint64_t>* words,
-                     std::vector<uint32_t>* scratch) {
-    return Encode(cols_, /*probe=*/false, begin, end, words, scratch);
-  }
-
-  /// Probe-mode encoding of another table's columns (pairwise same KeyKind
-  /// as the build columns) against the build dictionaries. Read-only: safe
-  /// from concurrent probe batches.
-  Status EncodeProbe(const Table& t, const std::vector<int>& probe_cols,
-                     size_t begin, size_t end, std::vector<uint64_t>* words,
-                     std::vector<uint32_t>* scratch) const {
-    std::vector<const ColumnData*> cols;
-    cols.reserve(probe_cols.size());
-    for (int c : probe_cols) cols.push_back(&t.col(static_cast<size_t>(c)));
-    return Encode(cols, /*probe=*/true, begin, end, words, scratch);
-  }
-
- private:
-  Status Encode(const std::vector<const ColumnData*>& cols, bool probe,
-                size_t begin, size_t end, std::vector<uint64_t>* words,
-                std::vector<uint32_t>* scratch) const {
-    size_t n = end - begin;
-    size_t w = width();
-    words->assign(n * w, 0);
-    uint64_t* out = words->data();
-    for (size_t k = 0; k < cols.size(); ++k) {
-      const ColumnData& col = *cols[k];
-      switch (kinds_[k]) {
-        case KeyKind::kI64: {
-          const int64_t* v = col.i64().data();
-          for (size_t i = 0; i < n; ++i) {
-            out[i * w + k] = static_cast<uint64_t>(v[begin + i]);
-          }
-          break;
-        }
-        case KeyKind::kF64: {
-          const double* v = col.f64().data();
-          for (size_t i = 0; i < n; ++i) {
-            uint64_t bits;
-            std::memcpy(&bits, &v[begin + i], 8);
-            out[i * w + k] = bits;
-          }
-          break;
-        }
-        case KeyKind::kStr:
-        case KeyKind::kEnc: {
-          scratch->resize(n);
-          uint32_t* codes = scratch->data();
-          if (probe) {
-            MPQ_RETURN_NOT_OK(dicts_[k]->ProbeRange(col, begin, end, codes));
-          } else {
-            MPQ_RETURN_NOT_OK(dicts_[k]->EncodeRange(begin, end, codes));
-          }
-          for (size_t i = 0; i < n; ++i) {
-            if (codes[i] == ColumnDict::kMiss) {
-              out[i * w + w - 1] |= kProbeMissBit;  // null_word_ is set
-            } else {
-              out[i * w + k] = codes[i];
-            }
-          }
-          break;
-        }
-        case KeyKind::kBytes:
-          return Status::Internal("typed key codec over a kCell column");
-      }
-      if (col.has_nulls()) {
-        // Init's with_null_word precondition guarantees the word exists.
-        for (size_t i = 0; i < n; ++i) {
-          if (col.IsNull(begin + i)) {
-            out[i * w + k] = 0;
-            out[i * w + w - 1] |= 1ull << k;
-          }
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  bool null_word_ = true;
-  std::vector<const ColumnData*> cols_;
-  std::vector<KeyKind> kinds_;
-  std::vector<std::unique_ptr<ColumnDict>> dicts_;
-};
-
-/// Whether the typed codec over `cols` of `t` needs the null/miss word.
-bool KeyColsNeedNullWord(const Table& t, const std::vector<int>& cols) {
-  for (int c : cols) {
-    const ColumnData& col = t.col(static_cast<size_t>(c));
-    if (col.has_nulls() || col.rep() == ColumnRep::kString ||
-        col.rep() == ColumnRep::kEnc) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Byte-key fallback for heterogeneous kCell columns (and cross-rep join
-/// pairs): AppendKeyBytes per column, each component closed by its length
-/// — an unambiguous (back-to-front parseable) encoding, so concatenated
-/// keys can never alias across column boundaries and byte-key equality is
-/// exactly per-column byte equality, the same relation the typed code
-/// words implement. Stored in a ByteArena behind a FlatHashIndex instead
-/// of per-key std::unordered_map nodes.
-inline Status RowKeyBytes(const Table& t, const std::vector<int>& cols,
-                          size_t r, std::string* key) {
-  key->clear();
-  for (int c : cols) {
-    size_t start = key->size();
-    MPQ_RETURN_NOT_OK(AppendKeyBytes(t.col(static_cast<size_t>(c)), r, key));
-    auto len = static_cast<uint32_t>(key->size() - start);
-    key->append(reinterpret_cast<const char*>(&len), sizeof(len));
-  }
-  return Status::OK();
-}
-
-std::vector<ExecColumn> ConcatColumns(const Table& l, const Table& r) {
-  std::vector<ExecColumn> cols = l.columns();
-  cols.insert(cols.end(), r.columns().begin(), r.columns().end());
-  return cols;
-}
-
-/// Gathers the (left, right) row pairs `(li[k], ri[k])` into a chunk over
-/// the concatenated layout.
-Chunk GatherPairs(const Table& l, const Table& r, const SelectionVector& li,
-                  const SelectionVector& ri) {
-  Chunk ch = ChunkLike(l, r);
-  for (size_t c = 0; c < l.num_columns(); ++c) {
-    ch[c].Reserve(li.size());
-    ch[c].AppendSelected(l.col(c), li.data(), li.size());
-  }
-  for (size_t c = 0; c < r.num_columns(); ++c) {
-    ch[l.num_columns() + c].Reserve(ri.size());
-    ch[l.num_columns() + c].AppendSelected(r.col(c), ri.data(), ri.size());
-  }
-  return ch;
-}
-
-/// Filters a chunk over `out_cols` by `preds`, rebuilding it only when rows
-/// were dropped.
-Result<Chunk> FilterChunk(Chunk ch, const std::vector<ExecColumn>& out_cols,
-                          const std::vector<BoundPredicate>& preds) {
-  if (preds.empty() || ch.empty()) return ch;
-  Table probe = TableFromColumns(out_cols, std::move(ch));
-  SelectionVector sel(probe.num_rows());
-  for (size_t i = 0; i < sel.size(); ++i) sel[i] = static_cast<uint32_t>(i);
-  MPQ_RETURN_NOT_OK(FilterAll(preds, probe, &sel));
-  Chunk out = ChunkLike(probe);
-  for (size_t c = 0; c < probe.num_columns(); ++c) {
-    if (sel.size() == probe.num_rows()) {
-      out[c] = std::move(probe.col_mut(c));
-    } else {
-      out[c].Reserve(sel.size());
-      out[c].AppendSelected(probe.col(c), sel.data(), sel.size());
-    }
-  }
-  return out;
-}
-
-Result<Table> ExecCartesian(const PlanNode*, Table l, Table r,
-                            ExecContext* ctx) {
-  std::vector<ExecColumn> out_cols = ConcatColumns(l, r);
-  std::vector<Chunk> chunks(l.NumBatches(Grain(ctx)));
-  MPQ_RETURN_NOT_OK(OpParallelFor(
-      ctx, OpKind::kCartesian, l.num_rows(),
-      [&](size_t begin, size_t end) -> Status {
-        Chunk& ch = chunks[begin / Grain(ctx)];
-        ch = ChunkLike(l, r);
-        size_t rows = (end - begin) * r.num_rows();
-        for (ColumnData& col : ch) col.Reserve(rows);
-        for (size_t c = 0; c < l.num_columns(); ++c) {
-          for (size_t i = begin; i < end; ++i) {
-            ch[c].AppendRepeated(l.col(c), i, r.num_rows());
-          }
-        }
-        for (size_t c = 0; c < r.num_columns(); ++c) {
-          for (size_t i = begin; i < end; ++i) {
-            ch[l.num_columns() + c].AppendRange(r.col(c), 0, r.num_rows());
-          }
-        }
-        return Status::OK();
-      }));
-  return MergeChunks(std::move(out_cols), std::move(chunks));
-}
-
-/// A join's predicates split into hashable equi-pairs — left column
-/// `lcols[k]` equals right column `rcols[k]` — and the residual rest.
-struct EquiSplit {
-  std::vector<int> lcols;
-  std::vector<int> rcols;
-  std::vector<Predicate> residual;
-};
-
-EquiSplit SplitEquiPredicates(const PlanNode* n, const Table& l,
-                              const Table& r) {
-  EquiSplit s;
-  for (const Predicate& p : n->predicates) {
-    if (p.rhs_is_attr && p.op == CmpOp::kEq) {
-      int ll = l.ColIndex(p.lhs), rr = r.ColIndex(p.rhs_attr);
-      if (ll < 0 || rr < 0) {
-        ll = l.ColIndex(p.rhs_attr);
-        rr = r.ColIndex(p.lhs);
-      }
-      if (ll >= 0 && rr >= 0) {
-        s.lcols.push_back(ll);
-        s.rcols.push_back(rr);
-        continue;
-      }
-    }
-    s.residual.push_back(p);
-  }
-  return s;
-}
-
-Result<Table> ExecJoinInMemory(const PlanNode* n, Table l, Table r,
-                               const EquiSplit& split, ExecContext* ctx) {
-  const std::vector<int>& lcols = split.lcols;
-  const std::vector<int>& rcols = split.rcols;
-  std::vector<ExecColumn> out_cols = ConcatColumns(l, r);
-  // Residual predicates bind against the concatenated layout; a zero-row
-  // probe table of that layout carries the binding metadata.
-  Table layout = TableFromColumns(out_cols, ChunkLike(l, r));
-  std::vector<BoundPredicate> bound;
-  for (const Predicate& p : lcols.empty() ? n->predicates : split.residual) {
-    MPQ_ASSIGN_OR_RETURN(BoundPredicate bp, BindPredicate(p, layout, n, ctx));
-    bound.push_back(std::move(bp));
-  }
-
-  if (!lcols.empty()) {
-    // Hash join on the flat-hash engine: a sequential build over the
-    // (usually smaller) left side assigns every row a dense key id — via
-    // fixed-width typed code words when every key-column pair shares a
-    // typed rep, byte keys in a ByteArena otherwise — then row lists per
-    // key id are laid out CSR-style and a batch-parallel probe over the
-    // right side emits (left, right) pairs in the historical order
-    // (ascending left row within ascending right row).
-    bool typed =
-        TypedKeyCodec::Eligible(l, lcols) && TypedKeyCodec::Eligible(r, rcols);
-    if (typed) {
-      for (size_t k = 0; k < lcols.size(); ++k) {
-        if (KindOf(l.col(static_cast<size_t>(lcols[k]))) !=
-            KindOf(r.col(static_cast<size_t>(rcols[k])))) {
-          // Cross-rep pairs (say int64 vs double) only ever match on NULLs
-          // under byte-key semantics; the byte path preserves that.
-          typed = false;
-          break;
-        }
-      }
-    }
-
-    // Build state: typed keys live as width() words per key id in
-    // `key_words`; byte keys live in the arena addressed by (offset, size)
-    // spans.
-    FlatHashIndex index(l.num_rows());
-    std::vector<uint64_t> key_words;
-    ByteArena arena;
-    std::vector<std::pair<uint64_t, uint32_t>> spans;
-    std::vector<uint32_t> gids(l.num_rows());
-    TypedKeyCodec codec;
-    size_t width = 0;
-    if (typed) {
-      codec.Init(l, lcols, KeyColsNeedNullWord(l, lcols) ||
-                               KeyColsNeedNullWord(r, rcols));
-      width = codec.width();
-      std::vector<uint64_t> words;
-      std::vector<uint32_t> scratch;
-      for (size_t begin = 0; begin < l.num_rows(); begin += Grain(ctx)) {
-        size_t end = std::min(begin + Grain(ctx), l.num_rows());
-        MPQ_RETURN_NOT_OK(codec.EncodeBuild(begin, end, &words, &scratch));
-        for (size_t i = begin; i < end; ++i) {
-          const uint64_t* row = words.data() + (i - begin) * width;
-          gids[i] = index.FindOrInsert(
-              HashWords(row, width),
-              [&](uint32_t id) {
-                return std::memcmp(key_words.data() + id * width, row,
-                                   width * 8) == 0;
-              },
-              [&] {
-                auto id = static_cast<uint32_t>(key_words.size() / width);
-                key_words.insert(key_words.end(), row, row + width);
-                return id;
-              });
-        }
-      }
-    } else {
-      std::string key;
-      for (size_t i = 0; i < l.num_rows(); ++i) {
-        MPQ_RETURN_NOT_OK(RowKeyBytes(l, lcols, i, &key));
-        gids[i] = index.FindOrInsert(
-            HashBytes(key.data(), key.size()),
-            [&](uint32_t id) {
-              return arena.View(spans[id].first, spans[id].second) == key;
-            },
-            [&] {
-              spans.emplace_back(arena.Append(key.data(), key.size()),
-                                 static_cast<uint32_t>(key.size()));
-              return static_cast<uint32_t>(spans.size() - 1);
-            });
-      }
-    }
-    // CSR row lists: the rows of each key id, ascending (build order).
-    size_t num_keys = index.size();
-    std::vector<uint32_t> offsets(num_keys + 1, 0);
-    for (uint32_t g : gids) offsets[g + 1]++;
-    for (size_t g = 1; g <= num_keys; ++g) offsets[g] += offsets[g - 1];
-    std::vector<uint32_t> rows(l.num_rows());
-    {
-      std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-      for (size_t i = 0; i < l.num_rows(); ++i) {
-        rows[cursor[gids[i]]++] = static_cast<uint32_t>(i);
-      }
-    }
-
-    std::vector<Chunk> chunks(r.NumBatches(Grain(ctx)));
-    MPQ_RETURN_NOT_OK(OpParallelFor(
-        ctx, OpKind::kJoin, r.num_rows(),
-        [&](size_t begin, size_t end) -> Status {
-          SelectionVector li, ri;
-          auto emit = [&](uint32_t g, size_t j) {
-            for (uint32_t k = offsets[g]; k < offsets[g + 1]; ++k) {
-              li.push_back(rows[k]);
-              ri.push_back(static_cast<uint32_t>(j));
-            }
-          };
-          if (typed) {
-            std::vector<uint64_t> words;
-            std::vector<uint32_t> scratch;
-            MPQ_RETURN_NOT_OK(
-                codec.EncodeProbe(r, rcols, begin, end, &words, &scratch));
-            // Without the null/miss word the last word holds raw key bits
-            // (which may legitimately have bit 63 set, e.g. negative
-            // int64); a dictionary miss forces the word to exist.
-            bool miss_word = width > rcols.size();
-            for (size_t j = begin; j < end; ++j) {
-              const uint64_t* row = words.data() + (j - begin) * width;
-              if (miss_word && (row[width - 1] & kProbeMissBit)) continue;
-              uint32_t g =
-                  index.Find(HashWords(row, width), [&](uint32_t id) {
-                    return std::memcmp(key_words.data() + id * width, row,
-                                       width * 8) == 0;
-                  });
-              if (g != FlatHashIndex::kNotFound) emit(g, j);
-            }
-          } else {
-            std::string key;
-            for (size_t j = begin; j < end; ++j) {
-              MPQ_RETURN_NOT_OK(RowKeyBytes(r, rcols, j, &key));
-              uint32_t g = index.Find(
-                  HashBytes(key.data(), key.size()), [&](uint32_t id) {
-                    return arena.View(spans[id].first, spans[id].second) ==
-                           key;
-                  });
-              if (g != FlatHashIndex::kNotFound) emit(g, j);
-            }
-          }
-          MPQ_ASSIGN_OR_RETURN(
-              chunks[begin / Grain(ctx)],
-              FilterChunk(GatherPairs(l, r, li, ri), out_cols, bound));
-          return Status::OK();
-        }));
-    return MergeChunks(std::move(out_cols), std::move(chunks));
-  }
-
-  // Nested-loop fallback (non-equi joins), parallel over left-side batches.
-  // Pairs are evaluated cell-at-a-time and only the matches are gathered,
-  // so the cross product is never materialized.
-  auto pair_cell = [&](int col, size_t i, size_t j) {
-    size_t c = static_cast<size_t>(col);
-    return c < l.num_columns() ? l.col(c).GetCell(i)
-                               : r.col(c - l.num_columns()).GetCell(j);
-  };
-  std::vector<Chunk> chunks(l.NumBatches(Grain(ctx)));
-  MPQ_RETURN_NOT_OK(OpParallelFor(
-      ctx, OpKind::kJoin, l.num_rows(),
-      [&](size_t begin, size_t end) -> Status {
-        SelectionVector li, ri;
-        for (size_t i = begin; i < end; ++i) {
-          for (size_t j = 0; j < r.num_rows(); ++j) {
-            bool keep = true;
-            for (const BoundPredicate& bp : bound) {
-              Cell lhs = pair_cell(bp.lhs_col, i, j);
-              Cell rhs = bp.rhs_col >= 0 ? pair_cell(bp.rhs_col, i, j)
-                                         : bp.rhs_const;
-              MPQ_ASSIGN_OR_RETURN(keep, CompareCells(bp.op, lhs, rhs));
-              if (!keep) break;
-            }
-            if (keep) {
-              li.push_back(static_cast<uint32_t>(i));
-              ri.push_back(static_cast<uint32_t>(j));
-            }
-          }
-        }
-        chunks[begin / Grain(ctx)] = GatherPairs(l, r, li, ri);
-        return Status::OK();
-      }));
-  return MergeChunks(std::move(out_cols), std::move(chunks));
-}
-
-// ------------------------------------------------- out-of-core execution ---
-
-/// Partition fan-out of one spill generation. Eight keeps partition counts
-/// (and open files) small while shrinking a generation's working set 8x.
-constexpr size_t kSpillFanout = 8;
-/// Recursion bound: after this many generations a partition runs in memory
-/// regardless of the budget (a single over-represented key never shrinks).
-constexpr int kMaxSpillDepth = 4;
-
-/// Raises the generation high-water mark (diagnostic counter only).
-void NoteSpillGeneration(ExecContext* ctx, uint64_t gen) {
-  uint64_t cur = ctx->spill_generations.load(std::memory_order_relaxed);
-  while (cur < gen && !ctx->spill_generations.compare_exchange_weak(
-                          cur, gen, std::memory_order_relaxed)) {
-  }
-}
-
-/// A fresh spill file path under ctx->spill_dir (or the system temp dir).
-std::string NextSpillPath(ExecContext* ctx) {
-  static std::atomic<uint64_t> counter{0};
-  std::filesystem::path dir = ctx->spill_dir.empty()
-                                  ? std::filesystem::temp_directory_path()
-                                  : std::filesystem::path(ctx->spill_dir);
-  return (dir / StrFormat("mpq_spill_%d_%llu.seg", static_cast<int>(getpid()),
-                          static_cast<unsigned long long>(counter.fetch_add(
-                              1, std::memory_order_relaxed))))
-      .string();
-}
-
-Status WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::Internal(StrFormat("cannot open spill file %s",
-                                      path.c_str()));
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  if (!out) {
-    return Status::Internal(StrFormat("short write to spill file %s",
-                                      path.c_str()));
-  }
-  return Status::OK();
-}
-
-/// Reads a spill file back and deletes it (each partition is read once).
-Result<Table> ReadSpillSegment(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::Internal(StrFormat("cannot open spill file %s",
-                                      path.c_str()));
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  std::error_code ec;
-  std::filesystem::remove(path, ec);  // best effort
-  MPQ_ASSIGN_OR_RETURN(SegmentReader sr, SegmentReader::Open(std::move(bytes)));
-  return sr.Decode();
-}
-
-/// Appends a plain int64 global-row column to `t` (rows 0..n-1). Spilled
-/// partitions carry it so results can be restored to the in-memory output
-/// order (and group-by can reconstruct global batch boundaries); it never
-/// collides with a real attribute.
-void AppendRowIdColumn(Table* t) {
-  ExecColumn col;
-  col.attr = kInvalidAttr;
-  col.name = "__spill_row";
-  col.type = DataType::kInt64;
-  ColumnData d(ColumnRep::kInt64);
-  d.Reserve(t->num_rows());
-  for (size_t i = 0; i < t->num_rows(); ++i) {
-    d.AppendValue(Value(static_cast<int64_t>(i)));
-  }
-  t->AddColumn(std::move(col), std::move(d));
-}
-
-/// The spill files one partition driver wrote; every one still on disk is
-/// removed when the driver exits, on error as on success.
-struct SpillFiles {
-  std::vector<std::string> paths;
-  ~SpillFiles() {
-    for (const std::string& path : paths) {
-      std::error_code ec;
-      std::filesystem::remove(path, ec);  // already read: a no-op
-    }
-  }
-};
-
-/// Splits `t` into kSpillFanout partitions by salted key-byte hash (equal
-/// keys co-partition; the salt decorrelates recursive generations), writing
-/// each as one compressed segment file whose path is appended to `files`
-/// before it is written. Sequential and deterministic.
-Status SpillPartitionTable(const Table& t, const std::vector<int>& key_cols,
-                           uint64_t salt, ExecContext* ctx, SpillFiles* files) {
-  std::vector<SelectionVector> sels(kSpillFanout);
-  std::string key;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    MPQ_RETURN_NOT_OK(RowKeyBytes(t, key_cols, r, &key));
-    uint64_t h = SplitMix64(HashBytes(key.data(), key.size()) ^ salt);
-    sels[h % kSpillFanout].push_back(static_cast<uint32_t>(r));
-  }
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    Table part;
-    for (size_t c = 0; c < t.num_columns(); ++c) {
-      ColumnData d(t.col(c).rep());
-      d.Reserve(sels[p].size());
-      d.AppendSelected(t.col(c), sels[p].data(), sels[p].size());
-      part.AddColumn(t.columns()[c], std::move(d));
-    }
-    MPQ_ASSIGN_OR_RETURN(std::string bytes, EncodeSegment(part));
-    files->paths.push_back(NextSpillPath(ctx));
-    MPQ_RETURN_NOT_OK(WriteFileBytes(files->paths.back(), bytes));
-    ctx->spill_partitions.fetch_add(1, std::memory_order_relaxed);
-    ctx->spill_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-/// One input of a partitioned operator: a table and its key columns.
-struct SpillInput {
-  Table table;
-  std::vector<int> key_cols;
-};
-
-/// The partition driver shared by spilled joins and group-bys. Each input
-/// is hash-partitioned on its key columns into kSpillFanout segment files
-/// (equal keys co-partition across inputs under one salt) and then freed.
-/// Partition p of every input is read back once and handed to `fn(p,
-/// parts)`, in partition order. Every file the driver wrote is removed on
-/// any exit.
-Status ForEachSpillPartition(
-    std::vector<SpillInput> inputs, uint64_t salt, ExecContext* ctx,
-    const std::function<Status(size_t, std::vector<Table>&)>& fn) {
-  SpillFiles files;
-  for (SpillInput& in : inputs) {
-    MPQ_RETURN_NOT_OK(
-        SpillPartitionTable(in.table, in.key_cols, salt, ctx, &files));
-    in.table = Table();
-  }
-  for (size_t p = 0; p < kSpillFanout; ++p) {
-    std::vector<Table> parts(inputs.size());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      MPQ_ASSIGN_OR_RETURN(parts[i],
-                           ReadSpillSegment(files.paths[i * kSpillFanout + p]));
-    }
-    MPQ_RETURN_NOT_OK(fn(p, parts));
-  }
-  return Status::OK();
-}
-
-/// The permutation that sorts rows ascending by row id — `major`, then
-/// `minor` when not null; ids are distinct, so the order is total. Spilled
-/// operators restore their in-memory output order with it.
-std::vector<uint32_t> RowIdOrder(size_t n, const int64_t* major,
-                                 const int64_t* minor) {
-  std::vector<uint32_t> perm(n);
-  for (size_t i = 0; i < n; ++i) perm[i] = static_cast<uint32_t>(i);
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    if (major[a] != major[b]) return major[a] < major[b];
-    return minor != nullptr && minor[a] < minor[b];
-  });
-  return perm;
-}
-
-/// One spill generation of the partitioned hash join: both (row-id
-/// augmented) sides are partitioned on the join key, then each partition
-/// pair is joined — recursively when it still exceeds the budget — and the
-/// outputs are concatenated. Row order within the concatenation is
-/// arbitrary; the wrapper restores the in-memory order from the row-id
-/// columns.
-Result<Table> ExecJoinPartitioned(const PlanNode* n, Table l, Table r,
-                                  const EquiSplit& split, ExecContext* ctx,
-                                  int depth, uint64_t salt) {
-  NoteSpillGeneration(ctx, static_cast<uint64_t>(depth) + 1);
-  std::vector<ExecColumn> out_cols = ConcatColumns(l, r);
-  Chunk empty_like = ChunkLike(l, r);
-  std::vector<SpillInput> inputs(2);
-  inputs[0] = {std::move(l), split.lcols};
-  inputs[1] = {std::move(r), split.rcols};
-  std::vector<Chunk> chunks;
-  MPQ_RETURN_NOT_OK(ForEachSpillPartition(
-      std::move(inputs), salt, ctx,
-      [&](size_t p, std::vector<Table>& parts) -> Status {
-        Table& lp = parts[0];
-        Table& rp = parts[1];
-        if (lp.num_rows() == 0 || rp.num_rows() == 0) return Status::OK();
-        Result<Table> joined =
-            depth + 1 < kMaxSpillDepth &&
-                    lp.ByteSize() + rp.ByteSize() > ctx->memory_budget
-                ? ExecJoinPartitioned(n, std::move(lp), std::move(rp), split,
-                                      ctx, depth + 1, SplitMix64(salt + p + 1))
-                : ExecJoinInMemory(n, std::move(lp), std::move(rp), split, ctx);
-        MPQ_RETURN_NOT_OK(joined.status());
-        if (joined->num_rows() == 0) return Status::OK();
-        Chunk ch;
-        ch.reserve(joined->num_columns());
-        for (size_t c = 0; c < joined->num_columns(); ++c) {
-          ch.push_back(std::move(joined->col_mut(c)));
-        }
-        chunks.push_back(std::move(ch));
-        return Status::OK();
-      }));
-  if (chunks.empty()) {
-    return TableFromColumns(std::move(out_cols), std::move(empty_like));
-  }
-  return MergeChunks(std::move(out_cols), std::move(chunks));
-}
-
-Result<Table> ExecJoin(const PlanNode* n, Table l, Table r, ExecContext* ctx) {
-  EquiSplit split = SplitEquiPredicates(n, l, r);
-  // The spill path partitions on the equi-join key; without one (pure
-  // theta join) the nested-loop path cannot partition and runs in memory.
-  bool spill = ctx->memory_budget != 0 && !split.lcols.empty() &&
-               l.num_rows() > 0 && r.num_rows() > 0 &&
-               l.ByteSize() + r.ByteSize() > ctx->memory_budget;
-  if (!spill) {
-    return ExecJoinInMemory(n, std::move(l), std::move(r), split, ctx);
-  }
-
-  size_t ln = l.num_columns(), rn = r.num_columns();
-  std::vector<ExecColumn> final_cols = ConcatColumns(l, r);
-  AppendRowIdColumn(&l);
-  AppendRowIdColumn(&r);
-  MPQ_ASSIGN_OR_RETURN(
-      Table joined,
-      ExecJoinPartitioned(n, std::move(l), std::move(r), split, ctx,
-                          /*depth=*/0, /*salt=*/0x9e3779b97f4a7c15ull));
-  // Restore the in-memory emit order — ascending (right row, left row);
-  // every match pair is emitted by exactly one partition pair, so the
-  // sorted outputs are bit-identical to the unspilled join.
-  std::vector<uint32_t> perm =
-      RowIdOrder(joined.num_rows(), joined.col(ln + 1 + rn).i64().data(),
-                 joined.col(ln).i64().data());
-  Table out;
-  for (size_t c = 0; c < final_cols.size(); ++c) {
-    size_t src = c < ln ? c : c + 1;  // skip the left row-id column
-    ColumnData d(joined.col(src).rep());
-    d.Reserve(perm.size());
-    d.AppendSelected(joined.col(src), perm.data(), perm.size());
-    out.AddColumn(std::move(final_cols[c]), std::move(d));
-  }
-  return out;
-}
-
-/// Aggregation state for one (group, aggregate) pair. Min/max and the
-/// Paillier template are tracked as row indices into the operand table
-/// (materialized only when the output is built). Trivially copyable, so
-/// group states pack into one contiguous arena per batch (stride = number
-/// of aggregates) instead of a vector-of-vectors.
-struct AggState {
-  // Plaintext accumulators.
-  double sum = 0;
-  bool sum_is_double = false;
-  int64_t count = 0;
-  size_t best_row = 0;  // current min/max row in the operand table
-  bool has_min_max = false;
-  // Homomorphic accumulator. On the lazy path (contiguous-ciphertext
-  // columns) `hom_cipher` stays zero through phases 1 and 2 — row indices
-  // are staged per group instead — and is written exactly once at finalize;
-  // the eager kCell fallback folds into it per row as before.
-  bool hom = false;
-  uint128 hom_cipher = 0;
-  /// Fold codec of the ciphertexts' public modulus (owned by the operator
-  /// frame; set with `hom`).
-  const ColumnCodec* hom_codec = nullptr;
-  int64_t hom_count = 0;
-  size_t hom_template_row = 0;
-};
-
-/// Fold-only codecs per key id, built once per group-by operator from the
-/// public moduli so neither the per-row eager fold nor the per-group lazy
-/// fold ever re-derives Montgomery reduction constants.
-using HomCodecMap = std::unordered_map<uint64_t, ColumnCodec>;
-
-/// Three-way min/max comparison of operand rows `i` vs `j` of `col`,
-/// matching CompareCells semantics (strictly-better keeps first occurrence).
-Result<bool> RowBetter(const ColumnData& col, CmpOp op, size_t i, size_t j) {
-  if (PlainTypedRep(col.rep())) {
-    return ApplyCmp(op, CmpPlainRows(col, i, col, j));
-  }
-  if (col.rep() == ColumnRep::kEnc && !col.IsNull(i) && !col.IsNull(j)) {
-    return CmpEncRows(op, col.enc()[i], col.enc()[j]);
-  }
-  return CompareCells(op, col.GetCell(i), col.GetCell(j));
-}
-
-/// Folds operand row `r` of `col` into `s` for `agg`, column-at-a-time.
-Status AccumulateRow(const PlanNode* n, const Aggregate& agg,
-                     const ColumnData& col, size_t r,
-                     const HomCodecMap& hom_codecs, AggState* s) {
-  switch (agg.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      s->count++;
-      return Status::OK();
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      if (col.IsNull(r)) return Status::OK();
-      switch (col.rep()) {
-        case ColumnRep::kInt64:
-          s->sum += static_cast<double>(col.i64()[r]);
-          s->count++;
-          return Status::OK();
-        case ColumnRep::kDouble:
-          s->sum += col.f64()[r];
-          s->sum_is_double = true;
-          s->count++;
-          return Status::OK();
-        case ColumnRep::kString:
-          return Status::Unsupported(StrFormat(
-              "node %d: %s over a string column", n->id,
-              AggFuncName(agg.func)));
-        case ColumnRep::kCell: {
-          const Cell& cell = col.cells()[r];
-          if (cell.is_plain()) {
-            const Value& v = cell.plain();
-            if (v.is_null()) return Status::OK();
-            if (v.is_string()) {
-              return Status::Unsupported(StrFormat(
-                  "node %d: %s over a string column", n->id,
-                  AggFuncName(agg.func)));
-            }
-            s->sum += v.AsDouble();
-            if (v.is_double()) s->sum_is_double = true;
-            s->count++;
-            return Status::OK();
-          }
-          break;  // ciphertext cell: fall through to the Paillier path
-        }
-        case ColumnRep::kEnc:
-          break;
-      }
-      const EncValue& ev = col.EncAt(r);
-      if (ev.scheme != EncScheme::kPaillier) {
-        return Status::Unsupported(StrFormat(
-            "node %d: %s over %s ciphertext requires the HOM scheme", n->id,
-            AggFuncName(agg.func), EncSchemeName(ev.scheme)));
-      }
-      auto pm = hom_codecs.find(ev.key_id);
-      if (pm == hom_codecs.end()) {
-        return Status::NotFound(StrFormat(
-            "node %d: no public modulus for key %llu", n->id,
-            static_cast<unsigned long long>(ev.key_id)));
-      }
-      MPQ_ASSIGN_OR_RETURN(uint128 c, PaillierCipherFromBytes(ev.blob));
-      if (!s->hom) {
-        s->hom = true;
-        s->hom_cipher = c;
-        s->hom_codec = &pm->second;
-        s->hom_template_row = r;
-      } else {
-        s->hom_cipher = s->hom_codec->HomAdd(s->hom_cipher, c);
-      }
-      s->hom_count += ev.aux;
-      return Status::OK();
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      bool better;
-      if (!s->has_min_max) {
-        better = true;
-      } else {
-        CmpOp op = agg.func == AggFunc::kMin ? CmpOp::kLt : CmpOp::kGt;
-        MPQ_ASSIGN_OR_RETURN(better, RowBetter(col, op, r, s->best_row));
-      }
-      if (better) {
-        s->best_row = r;
-        s->has_min_max = true;
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unreachable aggregate function");
-}
-
-/// Folds a later batch's state `src` into `dst`. Merging in batch order keeps
-/// first-occurrence semantics (hom template, min/max tie-breaks) identical to
-/// a sequential row scan over the same batch partition.
-Status MergeAggState(const Aggregate& agg, const ColumnData* col,
-                     bool lazy_hom, const AggState& src, AggState* dst) {
-  switch (agg.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      dst->count += src.count;
-      return Status::OK();
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      dst->sum += src.sum;
-      dst->sum_is_double = dst->sum_is_double || src.sum_is_double;
-      dst->count += src.count;
-      if (src.hom) {
-        if (!dst->hom) {
-          dst->hom = true;
-          dst->hom_cipher = src.hom_cipher;
-          dst->hom_codec = src.hom_codec;
-          dst->hom_template_row = src.hom_template_row;
-        } else if (!lazy_hom) {
-          // Lazy aggregates carry no per-batch partial cipher to combine:
-          // their rows are staged and folded once at finalize.
-          dst->hom_cipher =
-              dst->hom_codec->HomAdd(dst->hom_cipher, src.hom_cipher);
-        }
-        dst->hom_count += src.hom_count;
-      }
-      return Status::OK();
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      if (!src.has_min_max) return Status::OK();
-      bool better;
-      if (!dst->has_min_max) {
-        better = true;
-      } else {
-        CmpOp op = agg.func == AggFunc::kMin ? CmpOp::kLt : CmpOp::kGt;
-        MPQ_ASSIGN_OR_RETURN(
-            better, RowBetter(*col, op, src.best_row, dst->best_row));
-      }
-      if (better) {
-        dst->best_row = src.best_row;
-        dst->has_min_max = true;
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unreachable aggregate function");
-}
-
-/// Hash-aggregated groups of one morsel, in first-occurrence order. Group
-/// keys are remembered as the operand row index of their first occurrence
-/// plus, on the typed path, the group's code words (directly mergeable
-/// across morsels when no morsel-local dictionary is involved); states are
-/// one contiguous arena, `num_aggs` entries per group.
-struct BatchGroups {
-  std::vector<size_t> first_row;
-  std::vector<uint64_t> key_words;  ///< typed path: width words per group
-  std::vector<AggState> states;
-  /// Lazy homomorphic staging, one slot per lazy (kEnc-summed) aggregate:
-  /// the morsel's ciphertext row indices and their morsel-local group ids,
-  /// appended in row order. Nothing is folded until finalize.
-  std::vector<std::vector<uint32_t>> hom_rows;
-  std::vector<std::vector<uint32_t>> hom_gids;
-};
-
-/// Group-by output schema bound against the operand: group key column
-/// indices, aggregate source columns (-1 for count(*)), and the output
-/// column metadata. A spilled group-by binds once against the whole input
-/// and reuses the schema for every partition (same column layout).
-struct GroupBySchema {
-  std::vector<int> group_cols;
-  std::vector<int> agg_cols;
-  std::vector<ExecColumn> out_cols;
-};
-
-Result<GroupBySchema> BindGroupBy(const PlanNode* n, const Table& in,
-                                  ExecContext* ctx) {
-  GroupBySchema s;
-  std::vector<AttrId> group_attrs = n->group_by.ToVector();
-  for (AttrId a : group_attrs) {
-    int idx = in.ColIndex(a);
-    if (idx < 0) return ColNotFound(n, a, *ctx->catalog);
-    s.group_cols.push_back(idx);
-    s.out_cols.push_back(in.columns()[static_cast<size_t>(idx)]);
-  }
-
-  for (const Aggregate& agg : n->aggregates) {
-    ExecColumn col;
-    if (agg.func == AggFunc::kCountStar) {
-      s.agg_cols.push_back(-1);
-      col.attr = agg.out_attr;
-      col.name = ctx->catalog->attrs().Name(agg.out_attr);
-      col.type = DataType::kInt64;
-      s.out_cols.push_back(col);
-      continue;
-    }
-    int idx = in.ColIndex(agg.attr);
-    if (idx < 0) return ColNotFound(n, agg.attr, *ctx->catalog);
-    s.agg_cols.push_back(idx);
-    const ExecColumn& src = in.columns()[static_cast<size_t>(idx)];
-    col = src;
-    col.attr = agg.out_attr;
-    col.name = ctx->catalog->attrs().Name(agg.out_attr);
-    switch (agg.func) {
-      case AggFunc::kCount:
-        col.type = DataType::kInt64;
-        col.encrypted = false;
-        break;
-      case AggFunc::kAvg:
-        if (src.encrypted) {
-          col.hom_avg = true;  // Paillier sum + aux count
-        } else {
-          col.type = DataType::kDouble;
-        }
-        break;
-      default:
-        break;  // sum/min/max keep the source representation
-    }
-    s.out_cols.push_back(col);
-  }
-  return s;
-}
-
-/// Resolves the fold codecs for homomorphic sums (one per public modulus)
-/// and assigns a lazy staging slot to each contiguous-ciphertext (kEnc)
-/// summed aggregate (-1 elsewhere). Plaintext group-bys never pay the
-/// setup.
-HomCodecMap HomCodecsFor(const PlanNode* n, const Table& in,
-                         const std::vector<int>& agg_cols, ExecContext* ctx,
-                         std::vector<int>* lazy_slot, size_t* num_lazy) {
-  size_t num_aggs = n->aggregates.size();
-  HomCodecMap hom_codecs;
-  lazy_slot->assign(num_aggs, -1);
-  *num_lazy = 0;
-  for (size_t ai = 0; ai < num_aggs; ++ai) {
-    const Aggregate& agg = n->aggregates[ai];
-    if (agg.func != AggFunc::kSum && agg.func != AggFunc::kAvg) continue;
-    if (agg_cols[ai] < 0) continue;
-    ColumnRep rep = in.col(static_cast<size_t>(agg_cols[ai])).rep();
-    if (rep != ColumnRep::kEnc && rep != ColumnRep::kCell) continue;
-    if (hom_codecs.empty() && ctx->public_modulus != nullptr) {
-      for (const auto& [key_id, modulus] : *ctx->public_modulus) {
-        hom_codecs.emplace(key_id, ColumnCodec(key_id, modulus));
-      }
-    }
-    if (rep == ColumnRep::kEnc) {
-      (*lazy_slot)[ai] = static_cast<int>((*num_lazy)++);
-    }
-  }
-  return hom_codecs;
-}
-
-/// Materializes one finished aggregate state as its output cell. `col` is
-/// the aggregate's source column (holding `best_row`/`hom_template_row`),
-/// null for count(*).
-Result<Cell> AggOutputCell(const Aggregate& agg, const AggState& s,
-                           const ColumnData* col) {
-  switch (agg.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Cell(Value(s.count));
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      if (s.hom) {
-        EncValue ev = col->EncAt(s.hom_template_row);
-        ev.blob = PaillierCipherToBytes(s.hom_cipher);
-        ev.aux = s.hom_count;
-        return Cell(std::move(ev));
-      }
-      if (agg.func == AggFunc::kAvg) {
-        return Cell(Value(
-            s.count > 0 ? s.sum / static_cast<double>(s.count) : 0.0));
-      }
-      if (s.sum_is_double) return Cell(Value(s.sum));
-      return Cell(Value(static_cast<int64_t>(std::llround(s.sum))));
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      if (s.has_min_max) return col->GetCell(s.best_row);
-      return Cell(Value::Null());
-  }
-  return Status::Internal("unreachable aggregate function");
-}
-
-/// One hash group-by's groups, in first-occurrence order: each group's
-/// first operand row, its key columns, and its finished aggregate cells
-/// (one vector per aggregate).
-struct Groups {
-  std::vector<size_t> first_row;
-  std::vector<ColumnData> keys;
-  std::vector<std::vector<Cell>> aggs;
-};
-
-/// The hash group-by, the one implementation behind in-memory and spilled
-/// execution. Phase 1 aggregates every morsel — operand rows [bounds[m],
-/// bounds[m + 1]) — into private groups in parallel; phase 2 merges them in
-/// morsel order. The boundaries alone fix each sum's floating-point
-/// association, so equal boundaries give bit-identical results at any
-/// thread count.
-Result<Groups> HashGroupBy(const PlanNode* n, const Table& in,
-                           const GroupBySchema& schema,
-                           const std::vector<size_t>& bounds, ExecContext* ctx) {
-  const std::vector<int>& group_cols = schema.group_cols;
-  const std::vector<int>& agg_cols = schema.agg_cols;
-
-  // Fold codecs for homomorphic sums, resolved up front so neither the
-  // parallel phase nor finalize re-derives Montgomery constants.
-  // Contiguous-ciphertext (kEnc) aggregates fold *lazily*: phase 1 only
-  // stages row indices per group, and finalize multiplies each group's
-  // ciphertexts in one batch accumulation, touching every ciphertext
-  // exactly once. The kCell fallback keeps the eager per-row fold.
-  size_t num_aggs = n->aggregates.size();
-  std::vector<int> lazy_slot;
-  size_t num_lazy = 0;
-  HomCodecMap hom_codecs =
-      HomCodecsFor(n, in, agg_cols, ctx, &lazy_slot, &num_lazy);
-
-  // Typed vs byte keys is a whole-operator decision (a single table, so
-  // reps cannot mismatch; only the kCell fallback forces byte keys). When
-  // no key column needs a dictionary, code words are raw value bits —
-  // comparable across morsels, so the merge phase can skip byte keys too.
-  bool typed = TypedKeyCodec::Eligible(in, group_cols);
-  bool dict_keys = false;
-  bool null_word = group_cols.empty();
-  for (int gc : group_cols) {
-    const ColumnData& col = in.col(static_cast<size_t>(gc));
-    dict_keys = dict_keys || col.rep() == ColumnRep::kString ||
-                col.rep() == ColumnRep::kEnc;
-    null_word = null_word || col.has_nulls();
-  }
-
-  // Phase 1: each morsel hash-aggregates its rows into private groups.
-  // Group ids come from a morsel-local flat-hash table over fixed-width key
-  // codes (typed path) or arena-backed byte keys; each aggregate then folds
-  // its own column into the contiguous state arena.
-  std::vector<BatchGroups> batches(bounds.size() - 1);
-  MPQ_RETURN_NOT_OK(OpParallelForMorsels(
-      ctx, OpKind::kGroupBy, bounds, [&](size_t m) -> Status {
-        size_t begin = bounds[m], end = bounds[m + 1];
-        BatchGroups& bg = batches[m];
-        bg.hom_rows.resize(num_lazy);
-        bg.hom_gids.resize(num_lazy);
-        std::vector<uint32_t> gid(end - begin);
-        // Sized for the all-distinct worst case up front: a high-cardinality
-        // morsel never pays a mid-stream rehash.
-        FlatHashIndex index(end - begin);
-        if (typed) {
-          TypedKeyCodec codec;
-          codec.Init(in, group_cols, null_word);
-          size_t w = codec.width();
-          std::vector<uint64_t> words;
-          std::vector<uint32_t> scratch;
-          MPQ_RETURN_NOT_OK(codec.EncodeBuild(begin, end, &words, &scratch));
-          for (size_t r = begin; r < end; ++r) {
-            const uint64_t* row = words.data() + (r - begin) * w;
-            gid[r - begin] = index.FindOrInsert(
-                HashWords(row, w),
-                [&](uint32_t id) {
-                  return std::memcmp(bg.key_words.data() + id * w, row,
-                                     w * 8) == 0;
-                },
-                [&] {
-                  auto id = static_cast<uint32_t>(bg.first_row.size());
-                  bg.key_words.insert(bg.key_words.end(), row, row + w);
-                  bg.first_row.push_back(r);
-                  bg.states.resize(bg.states.size() + num_aggs);
-                  return id;
-                });
-          }
-        } else {
-          ByteArena arena;
-          std::vector<std::pair<uint64_t, uint32_t>> spans;
-          std::string key;
-          for (size_t r = begin; r < end; ++r) {
-            MPQ_RETURN_NOT_OK(RowKeyBytes(in, group_cols, r, &key));
-            gid[r - begin] = index.FindOrInsert(
-                HashBytes(key.data(), key.size()),
-                [&](uint32_t id) {
-                  return arena.View(spans[id].first, spans[id].second) == key;
-                },
-                [&] {
-                  auto id = static_cast<uint32_t>(bg.first_row.size());
-                  spans.emplace_back(arena.Append(key.data(), key.size()),
-                                     static_cast<uint32_t>(key.size()));
-                  bg.first_row.push_back(r);
-                  bg.states.resize(bg.states.size() + num_aggs);
-                  return id;
-                });
-          }
-        }
-        for (size_t ai = 0; ai < num_aggs; ++ai) {
-          const Aggregate& agg = n->aggregates[ai];
-          AggState* st = bg.states.data();
-          // count/count(*) fold every row unconditionally (engine
-          // semantics, mirrored by the row oracle).
-          if (agg.func == AggFunc::kCountStar ||
-              agg.func == AggFunc::kCount) {
-            for (size_t r = begin; r < end; ++r) {
-              st[gid[r - begin] * num_aggs + ai].count++;
-            }
-            continue;
-          }
-          const ColumnData& col = in.col(static_cast<size_t>(agg_cols[ai]));
-          // Tight typed loops for the hot aggregate/column shapes; each
-          // replicates AccumulateRow's per-row effect exactly (same
-          // floating-point op order per state), so results stay
-          // bit-identical to the generic path.
-          bool sumlike =
-              agg.func == AggFunc::kSum || agg.func == AggFunc::kAvg;
-          // Lazy homomorphic fold: stage (row, group) pairs; the Montgomery
-          // work happens once per group at finalize. Scheme and key checks
-          // stay per row so error surfacing matches the eager path, with an
-          // inline last-key cache replacing the per-row hash lookup.
-          if (sumlike && lazy_slot[ai] >= 0) {
-            const std::vector<EncValue>& encs = col.enc();
-            auto slot = static_cast<size_t>(lazy_slot[ai]);
-            std::vector<uint32_t>& hrows = bg.hom_rows[slot];
-            std::vector<uint32_t>& hgids = bg.hom_gids[slot];
-            const ColumnCodec* codec = nullptr;
-            uint64_t codec_key = 0;
-            for (size_t r = begin; r < end; ++r) {
-              if (col.IsNull(r)) continue;
-              const EncValue& ev = encs[r];
-              if (ev.scheme != EncScheme::kPaillier) {
-                return Status::Unsupported(StrFormat(
-                    "node %d: %s over %s ciphertext requires the HOM scheme",
-                    n->id, AggFuncName(agg.func), EncSchemeName(ev.scheme)));
-              }
-              if (codec == nullptr || ev.key_id != codec_key) {
-                auto pm = hom_codecs.find(ev.key_id);
-                if (pm == hom_codecs.end()) {
-                  return Status::NotFound(StrFormat(
-                      "node %d: no public modulus for key %llu", n->id,
-                      static_cast<unsigned long long>(ev.key_id)));
-                }
-                codec = &pm->second;
-                codec_key = ev.key_id;
-              }
-              AggState& s = st[gid[r - begin] * num_aggs + ai];
-              if (!s.hom) {
-                s.hom = true;
-                s.hom_codec = codec;
-                s.hom_template_row = r;
-              }
-              s.hom_count += ev.aux;
-              hrows.push_back(static_cast<uint32_t>(r));
-              hgids.push_back(gid[r - begin]);
-            }
-            continue;
-          }
-          if (sumlike && col.rep() == ColumnRep::kInt64 &&
-              !col.has_nulls()) {
-            const int64_t* v = col.i64().data();
-            for (size_t r = begin; r < end; ++r) {
-              AggState& s = st[gid[r - begin] * num_aggs + ai];
-              s.sum += static_cast<double>(v[r]);
-              s.count++;
-            }
-            continue;
-          }
-          if (sumlike && col.rep() == ColumnRep::kDouble &&
-              !col.has_nulls()) {
-            const double* v = col.f64().data();
-            for (size_t r = begin; r < end; ++r) {
-              AggState& s = st[gid[r - begin] * num_aggs + ai];
-              s.sum += v[r];
-              s.sum_is_double = true;
-              s.count++;
-            }
-            continue;
-          }
-          bool minmax =
-              agg.func == AggFunc::kMin || agg.func == AggFunc::kMax;
-          if (minmax && col.rep() == ColumnRep::kInt64 && !col.has_nulls()) {
-            // CmpPlainRows compares int64 as double; mirror that exactly so
-            // ties (beyond 2^53) keep the first occurrence either way.
-            const int64_t* v = col.i64().data();
-            bool want_less = agg.func == AggFunc::kMin;
-            for (size_t r = begin; r < end; ++r) {
-              AggState& s = st[gid[r - begin] * num_aggs + ai];
-              auto x = static_cast<double>(v[r]);
-              auto best = static_cast<double>(v[s.best_row]);
-              if (!s.has_min_max || (want_less ? x < best : x > best)) {
-                s.best_row = r;
-                s.has_min_max = true;
-              }
-            }
-            continue;
-          }
-          if (minmax && col.rep() == ColumnRep::kDouble && !col.has_nulls()) {
-            // NaN never compares better (CmpPlainRows returns 0 for it).
-            const double* v = col.f64().data();
-            bool want_less = agg.func == AggFunc::kMin;
-            for (size_t r = begin; r < end; ++r) {
-              AggState& s = st[gid[r - begin] * num_aggs + ai];
-              double x = v[r], best = v[s.best_row];
-              if (!s.has_min_max || (want_less ? x < best : x > best)) {
-                s.best_row = r;
-                s.has_min_max = true;
-              }
-            }
-            continue;
-          }
-          for (size_t r = begin; r < end; ++r) {
-            MPQ_RETURN_NOT_OK(
-                AccumulateRow(n, agg, col, r, hom_codecs,
-                              &st[gid[r - begin] * num_aggs + ai]));
-          }
-        }
-        return Status::OK();
-      }));
-
-  // Phase 2: merge morsel groups in morsel order — group order is first
-  // occurrence over the whole input, like a sequential scan. On the typed
-  // path without dictionary columns, code words are raw value bits and thus
-  // comparable across morsels, so unification works on the words directly;
-  // otherwise each group's canonical byte key is re-derived from its first
-  // row (cheap: per group, not per row). Either equivalence is byte-key
-  // equality exactly as before.
-  FlatHashIndex gindex;
-  ByteArena gkeys;
-  std::vector<std::pair<uint64_t, uint32_t>> gspans;
-  std::vector<uint64_t> gkey_words;
-  std::vector<size_t> group_first_row;
-  std::vector<AggState> states;
-  bool words_merge = typed && !dict_keys;
-  size_t kw = group_cols.size() + (null_word ? 1 : 0);
-  // Global lazy staging, one slot per lazy aggregate: morsel stages are
-  // concatenated in morsel order with group ids remapped to global ids, so
-  // each group's row list is in ascending row order — identical at any
-  // thread count.
-  std::vector<std::vector<uint32_t>> hom_rows(num_lazy);
-  std::vector<std::vector<uint32_t>> hom_gids(num_lazy);
-  {
-    std::string key;
-    std::vector<uint32_t> remap;
-    for (BatchGroups& bg : batches) {
-      remap.resize(bg.first_row.size());
-      for (size_t g = 0; g < bg.first_row.size(); ++g) {
-        uint64_t hash;
-        const uint64_t* row = nullptr;
-        if (words_merge) {
-          row = bg.key_words.data() + g * kw;
-          hash = HashWords(row, kw);
-        } else {
-          MPQ_RETURN_NOT_OK(
-              RowKeyBytes(in, group_cols, bg.first_row[g], &key));
-          hash = HashBytes(key.data(), key.size());
-        }
-        bool inserted = false;
-        uint32_t idx = gindex.FindOrInsert(
-            hash,
-            [&](uint32_t id) {
-              if (words_merge) {
-                return std::memcmp(gkey_words.data() + id * kw, row,
-                                   kw * 8) == 0;
-              }
-              return gkeys.View(gspans[id].first, gspans[id].second) == key;
-            },
-            [&] {
-              auto id = static_cast<uint32_t>(group_first_row.size());
-              if (words_merge) {
-                gkey_words.insert(gkey_words.end(), row, row + kw);
-              } else {
-                gspans.emplace_back(gkeys.Append(key.data(), key.size()),
-                                    static_cast<uint32_t>(key.size()));
-              }
-              group_first_row.push_back(bg.first_row[g]);
-              auto src = bg.states.begin() + static_cast<long>(g * num_aggs);
-              states.insert(states.end(), src,
-                            src + static_cast<long>(num_aggs));
-              inserted = true;
-              return id;
-            });
-        remap[g] = idx;
-        if (inserted) continue;
-        for (size_t ai = 0; ai < num_aggs; ++ai) {
-          const ColumnData* col = nullptr;
-          if (agg_cols[ai] >= 0) {
-            col = &in.col(static_cast<size_t>(agg_cols[ai]));
-          }
-          MPQ_RETURN_NOT_OK(MergeAggState(n->aggregates[ai], col,
-                                          lazy_slot[ai] >= 0,
-                                          bg.states[g * num_aggs + ai],
-                                          &states[idx * num_aggs + ai]));
-        }
-      }
-      for (size_t h = 0; h < num_lazy; ++h) {
-        hom_rows[h].insert(hom_rows[h].end(), bg.hom_rows[h].begin(),
-                           bg.hom_rows[h].end());
-        hom_gids[h].reserve(hom_gids[h].size() + bg.hom_gids[h].size());
-        for (uint32_t bgid : bg.hom_gids[h]) {
-          hom_gids[h].push_back(remap[bgid]);
-        }
-      }
-    }
-  }
-
-  // Finalize lazy homomorphic sums: order each aggregate's staged rows by
-  // group (counting sort — morsel-ordered stages in, per-group ascending row
-  // runs out), then fold every group's ciphertexts in one pass. One
-  // reusable accumulation context per key serves all groups; each
-  // ciphertext is parsed and reduced exactly once.
-  size_t num_groups = group_first_row.size();
-  for (size_t ai = 0; ai < num_aggs; ++ai) {
-    if (lazy_slot[ai] < 0) continue;
-    auto h = static_cast<size_t>(lazy_slot[ai]);
-    const std::vector<uint32_t>& rows = hom_rows[h];
-    const std::vector<uint32_t>& gids = hom_gids[h];
-    const ColumnData& col = in.col(static_cast<size_t>(agg_cols[ai]));
-    std::vector<uint32_t> offs(num_groups + 1, 0);
-    for (uint32_t g : gids) offs[g + 1]++;
-    for (size_t g = 0; g < num_groups; ++g) offs[g + 1] += offs[g];
-    std::vector<uint32_t> ordered(rows.size());
-    std::vector<uint32_t> cur(offs.begin(), offs.end() - 1);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ordered[cur[gids[i]]++] = rows[i];
-    }
-    ColumnCodec* codec = nullptr;
-    uint64_t codec_key = 0;
-    for (size_t g = 0; g < num_groups; ++g) {
-      size_t b = offs[g], e = offs[g + 1];
-      if (b == e) continue;  // no ciphertext rows: plaintext/NULL-only group
-      // Fold under the group's first ciphertext key — the same binding the
-      // eager path uses; phase 1 already validated every key id.
-      uint64_t kid = col.enc()[ordered[b]].key_id;
-      if (codec == nullptr || kid != codec_key) {
-        codec = &hom_codecs.find(kid)->second;
-        codec_key = kid;
-      }
-      AggState& s = states[g * num_aggs + ai];
-      MPQ_ASSIGN_OR_RETURN(
-          s.hom_cipher, codec->FoldRows(col, ordered.data() + b, e - b));
-    }
-  }
-
-  // Observable operator detail: bytes of the merged state/key arenas and
-  // the number of ciphertexts the lazy homomorphic folds touched. Counters
-  // only — results are unaffected.
-  if (ctx->op_profile != nullptr) {
-    uint64_t staged = 0;
-    for (const std::vector<uint32_t>& rows : hom_rows) staged += rows.size();
-    uint64_t arena = states.size() * sizeof(AggState) + gkeys.size() +
-                     gkey_words.size() * sizeof(uint64_t);
-    ctx->op_profile->RecordDetail(OpKind::kGroupBy, arena, staged);
-  }
-
-  // Group keys gather from the operand; aggregates materialize from their
-  // states.
-  Groups out;
-  out.first_row = std::move(group_first_row);
-  for (int gc : group_cols) {
-    const ColumnData& src = in.col(static_cast<size_t>(gc));
-    ColumnData col(src.rep());
-    col.Reserve(num_groups);
-    for (size_t row : out.first_row) col.AppendFrom(src, row);
-    out.keys.push_back(std::move(col));
-  }
-  out.aggs.resize(num_aggs);
-  for (size_t ai = 0; ai < num_aggs; ++ai) {
-    const Aggregate& agg = n->aggregates[ai];
-    const ColumnData* src =
-        agg_cols[ai] >= 0 ? &in.col(static_cast<size_t>(agg_cols[ai]))
-                          : nullptr;
-    out.aggs[ai].reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      MPQ_ASSIGN_OR_RETURN(
-          Cell cell, AggOutputCell(agg, states[g * num_aggs + ai], src));
-      out.aggs[ai].push_back(std::move(cell));
-    }
-  }
-  return out;
-}
-
-/// The operator's output table: the key columns, then one column per
-/// aggregate built from its cells. Degenerate global aggregation over an
-/// empty input emits no rows (the engine's semantics; SQL would emit one
-/// NULL row).
-Table GroupsTable(std::vector<ExecColumn> out_cols, Groups groups) {
-  std::vector<ColumnData> data = std::move(groups.keys);
-  for (std::vector<Cell>& cells : groups.aggs) {
-    data.push_back(ColumnFromCells(std::move(cells)));
-  }
-  return TableFromColumns(std::move(out_cols), std::move(data));
-}
-
-/// Out-of-core group-by, in one spill generation: the input is
-/// hash-partitioned on the group key (each group lands wholly in one
-/// partition) and every partition runs the hash group-by alone. A
-/// partition's morsels are its runs of rows from one global batch
-/// (recovered from the spilled row-id column), so each group's partials
-/// associate exactly as in memory; groups then take the in-memory order,
-/// ascending global first row. Results are bit-identical to the unspilled
-/// operator at any thread count.
-Result<Table> ExecGroupBySpill(const PlanNode* n, Table in,
-                               GroupBySchema schema, ExecContext* ctx) {
-  NoteSpillGeneration(ctx, 1);
-  Groups all;  // every partition's groups, concatenated
-  for (int gc : schema.group_cols) {
-    all.keys.emplace_back(in.col(static_cast<size_t>(gc)).rep());
-  }
-  all.aggs.resize(n->aggregates.size());
-  std::vector<int64_t> global_first;  // per group in `all`
-  size_t row_col = in.num_columns();
-  AppendRowIdColumn(&in);
-
-  // 1-2. Partition the input and run the operator over each partition.
-  size_t grain = Grain(ctx);
-  std::vector<SpillInput> inputs(1);
-  inputs[0] = {std::move(in), schema.group_cols};
-  MPQ_RETURN_NOT_OK(ForEachSpillPartition(
-      std::move(inputs), 0xc2b2ae3d27d4eb4full, ctx,
-      [&](size_t, std::vector<Table>& tables) -> Status {
-        const Table& part = tables[0];
-        if (part.num_rows() == 0) return Status::OK();
-        const int64_t* grow = part.col(row_col).i64().data();
-        std::vector<size_t> bounds{0};
-        for (size_t r = 1; r < part.num_rows(); ++r) {
-          if (static_cast<uint64_t>(grow[r]) / grain !=
-              static_cast<uint64_t>(grow[r - 1]) / grain) {
-            bounds.push_back(r);
-          }
-        }
-        bounds.push_back(part.num_rows());
-        MPQ_ASSIGN_OR_RETURN(Groups groups,
-                             HashGroupBy(n, part, schema, bounds, ctx));
-        for (size_t row : groups.first_row) global_first.push_back(grow[row]);
-        for (size_t k = 0; k < all.keys.size(); ++k) {
-          all.keys[k].AppendRange(groups.keys[k], 0, groups.keys[k].size());
-        }
-        for (size_t ai = 0; ai < all.aggs.size(); ++ai) {
-          std::move(groups.aggs[ai].begin(), groups.aggs[ai].end(),
-                    std::back_inserter(all.aggs[ai]));
-        }
-        return Status::OK();
-      }));
-
-  // 3-4. Sort groups by global first row and gather the output.
-  std::vector<uint32_t> order =
-      RowIdOrder(global_first.size(), global_first.data(), nullptr);
-  Groups out;
-  for (const ColumnData& keys : all.keys) {
-    out.keys.emplace_back(keys.rep());
-    out.keys.back().AppendSelected(keys, order.data(), order.size());
-  }
-  for (std::vector<Cell>& cells : all.aggs) {
-    out.aggs.emplace_back();
-    for (uint32_t i : order) out.aggs.back().push_back(std::move(cells[i]));
-  }
-  return GroupsTable(std::move(schema.out_cols), std::move(out));
-}
-
-Result<Table> ExecGroupBy(const PlanNode* n, Table in, ExecContext* ctx) {
-  MPQ_ASSIGN_OR_RETURN(GroupBySchema schema, BindGroupBy(n, in, ctx));
-  if (ctx->memory_budget != 0 && in.num_rows() > 0 &&
-      !schema.group_cols.empty() && in.ByteSize() > ctx->memory_budget) {
-    return ExecGroupBySpill(n, std::move(in), std::move(schema), ctx);
-  }
-  // In memory, the morsels are the fixed `Grain(ctx)`-row batches.
-  std::vector<size_t> bounds;
-  for (size_t b = 0; b < in.num_rows(); b += Grain(ctx)) bounds.push_back(b);
-  bounds.push_back(in.num_rows());
-  MPQ_ASSIGN_OR_RETURN(Groups groups, HashGroupBy(n, in, schema, bounds, ctx));
-  return GroupsTable(std::move(schema.out_cols), std::move(groups));
-}
+namespace {
 
 Result<Table> ExecUdf(const PlanNode* n, Table in, ExecContext* ctx) {
   std::vector<AttrId> inputs = n->udf_inputs.ToVector();
@@ -1983,94 +131,7 @@ Result<Table> ExecUdf(const PlanNode* n, Table in, ExecContext* ctx) {
   return out;
 }
 
-Result<Table> ExecEncrypt(const PlanNode* n, Table in, ExecContext* ctx) {
-  if (ctx->keyring == nullptr) {
-    return Status::NotFound("engine holds no keyring");
-  }
-  std::vector<AttrId> attrs = n->attrs.ToVector();
-  for (AttrId a : attrs) {
-    int idx = in.ColIndex(a);
-    if (idx < 0) return ColNotFound(n, a, *ctx->catalog);
-    ExecColumn& col = in.columns()[static_cast<size_t>(idx)];
-    if (col.encrypted) {
-      return Status::InvalidArgument(StrFormat(
-          "node %d: attribute %s is already encrypted", n->id,
-          col.name.c_str()));
-    }
-    EncScheme scheme = ctx->crypto != nullptr ? ctx->crypto->SchemeOf(a)
-                                              : EncScheme::kDeterministic;
-    uint64_t key_id = ctx->crypto != nullptr ? ctx->crypto->KeyOf(a) : 0;
-    const KeyMaterial* km = ctx->keyring->Find(key_id);
-    if (km == nullptr) {
-      return Status::NotFound(
-          StrFormat("key %llu was not distributed to this subject",
-                    static_cast<unsigned long long>(key_id)));
-    }
-    ColumnCodec codec(*km);
-    // One PRF-derived nonce range per (node, column): row r uses
-    // nonce_base + r, so ciphertexts do not depend on batch scheduling,
-    // thread count, or sibling-subtree execution order. The whole column is
-    // encrypted with one key lookup, batch-parallel over its contiguous
-    // plaintext vector (EncryptSpan is const and thread-safe).
-    uint64_t nonce_base = ctx->ColumnNonceBase(n->id, a);
-    const ColumnData& src = in.col(static_cast<size_t>(idx));
-    std::vector<EncValue> encs(in.num_rows());
-    MPQ_RETURN_NOT_OK(OpParallelFor(
-        ctx, OpKind::kEncrypt, in.num_rows(),
-        [&](size_t begin, size_t end) -> Status {
-          return codec.EncryptSpan(src, begin, end, scheme, nonce_base,
-                                   encs.data() + begin);
-        }));
-    in.SetColumnData(static_cast<size_t>(idx), ColumnFromEnc(std::move(encs)));
-    col.encrypted = true;
-    col.scheme = scheme;
-    col.key_id = key_id;
-  }
-  return in;
-}
-
-Result<Table> ExecDecrypt(const PlanNode* n, Table in, ExecContext* ctx) {
-  if (ctx->keyring == nullptr) {
-    return Status::NotFound("engine holds no keyring");
-  }
-  std::vector<AttrId> attrs = n->attrs.ToVector();
-  for (AttrId a : attrs) {
-    int idx = in.ColIndex(a);
-    if (idx < 0) return ColNotFound(n, a, *ctx->catalog);
-    ExecColumn& col = in.columns()[static_cast<size_t>(idx)];
-    if (!col.encrypted) {
-      return Status::InvalidArgument(StrFormat(
-          "node %d: attribute %s is not encrypted", n->id, col.name.c_str()));
-    }
-    const KeyMaterial* km = ctx->keyring->Find(col.key_id);
-    if (km == nullptr) {
-      return Status::NotFound(
-          StrFormat("key %llu was not distributed to this subject",
-                    static_cast<unsigned long long>(col.key_id)));
-    }
-    ColumnCodec codec(*km);
-    bool avg = col.hom_avg;
-    const ColumnData& src = in.col(static_cast<size_t>(idx));
-    std::vector<Cell> cells(in.num_rows());
-    // DecryptSpan handles the whole span: ciphertexts decrypt (including the
-    // homomorphic-average division), plain NULLs and stray plaintext cells
-    // inside a ciphertext column pass through untouched.
-    MPQ_RETURN_NOT_OK(OpParallelFor(
-        ctx, OpKind::kDecrypt, in.num_rows(),
-        [&](size_t begin, size_t end) -> Status {
-          return codec.DecryptSpan(src, begin, end, col.type, avg,
-                                   cells.data() + begin);
-        }));
-    in.SetColumnData(static_cast<size_t>(idx),
-                     ColumnFromCells(std::move(cells)));
-    col.encrypted = false;
-    if (avg) {
-      col.type = DataType::kDouble;
-      col.hom_avg = false;
-    }
-  }
-  return in;
-}
+}  // namespace
 
 }  // namespace exec_internal
 
