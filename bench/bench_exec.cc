@@ -83,13 +83,14 @@ void BM_EncryptedDistributedTpch(benchmark::State& state) {
   PlanKeys keys = DeriveQueryPlanKeys(r->extended);
 
   DistributedRuntime rt(&fx.env.catalog, &fx.env.subjects);
-  for (const auto& [rel, t] : fx.db.tables) rt.LoadTable(rel, t);
+  BaseTables tables;
+  for (const auto& [rel, t] : fx.db.tables) tables[rel] = &t;
   rt.DistributeKeys(keys, fx.env.user, 77);
   rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
 
   uint64_t transfer = 0;
   for (auto _ : state) {
-    auto res = rt.Run(r->extended, fx.env.user);
+    auto res = rt.Run(r->extended, fx.env.user, tables);
     if (!res.ok()) {
       state.SkipWithError(res.status().ToString().c_str());
       return;

@@ -114,11 +114,12 @@ int main() {
 
   // Distributed encrypted execution.
   DistributedRuntime rt(&catalog, &subjects);
-  rt.LoadTable(hosp, HospData(catalog, hosp, 200));
-  rt.LoadTable(ins, InsData(catalog, ins, 200));
+  const Table hosp_data = HospData(catalog, hosp, 200);
+  const Table ins_data = InsData(catalog, ins, 200);
+  const BaseTables tables = {{hosp, &hosp_data}, {ins, &ins_data}};
   rt.DistributeKeys(keys, U, 42);
   rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
-  auto result = rt.Run(r->extended, U);
+  auto result = rt.Run(r->extended, U, tables);
   if (!result.ok()) {
     std::printf("error: %s\n", result.status().ToString().c_str());
     return 1;
@@ -139,20 +140,18 @@ int main() {
               result->num_messages);
 
   // Sanity: plaintext execution agrees.
-  Table hosp_t = HospData(catalog, hosp, 200);
-  Table ins_t = InsData(catalog, ins, 200);
   KeyRing ring;
   CryptoPlan crypto;
   ExecContext ctx;
   ctx.catalog = &catalog;
-  ctx.base_tables[hosp] = &hosp_t;
-  ctx.base_tables[ins] = &ins_t;
+  ctx.base_tables = tables;
   ctx.keyring = &ring;
   ctx.crypto = &crypto;
   auto plain = ExecutePlan(plan->get(), &ctx);
+  const bool match =
+      plain.ok() && plain->num_rows() == result->result.num_rows();
   std::printf("\nplaintext reference rows: %zu (distributed: %zu) — %s\n",
-              plain->num_rows(), result->result.num_rows(),
-              plain->num_rows() == result->result.num_rows() ? "MATCH"
-                                                             : "MISMATCH");
-  return 0;
+              plain.ok() ? plain->num_rows() : 0, result->result.num_rows(),
+              match ? "MATCH" : "MISMATCH");
+  return match ? 0 : 1;
 }

@@ -47,6 +47,7 @@ void DistributedRuntime::DistributeKeys(const PlanKeys& keys, SubjectId user,
 
 Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
                                                   SubjectId user,
+                                                  const BaseTables& tables,
                                                   QueryTrace* trace,
                                                   uint64_t trace_parent) {
   DistributedResult out;
@@ -181,9 +182,7 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
     // nonces a node uses — ciphertexts are bit-identical at any thread count.
     ExecContext ctx;
     ctx.catalog = catalog_;
-    for (const auto& [rel, table] : base_tables_) {
-      ctx.base_tables[rel] = table;
-    }
+    ctx.base_tables = tables;
     auto kr = keyrings_.find(s);
     ctx.keyring = kr == keyrings_.end() ? &kEmptyKeyring : &kr->second;
     ctx.dispatcher_keyring = &dispatcher_keyring_;

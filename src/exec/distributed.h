@@ -22,10 +22,12 @@
 // kUnavailable; the failover layer (exec/failover.h) then re-plans around
 // the subjects the net recorded as down.
 //
-// Once configured (tables loaded, keys distributed, crypto plan set), Run may
-// be called concurrently from many threads: each call draws a fresh nonce
-// seed from an atomic counter and touches only call-local state, which is
-// what lets the serving layer execute one cached plan under many sessions.
+// The runtime holds no table data: each Run reads the tables its caller
+// passes. Once configured (keys distributed, crypto plan set), Run may be
+// called concurrently from many threads: each call draws a fresh nonce seed
+// from an atomic counter and touches only call-local state, which is what
+// lets the serving layer execute one cached plan under many sessions, each
+// over the snapshot it pinned.
 
 #ifndef MPQ_EXEC_DISTRIBUTED_H_
 #define MPQ_EXEC_DISTRIBUTED_H_
@@ -68,26 +70,15 @@ struct DistributedResult {
   NetReport net;
 };
 
-/// The runtime. Configure with data, keys and crypto plan, then Run.
+/// The runtime. Configure with keys and crypto plan, then Run over tables.
 class DistributedRuntime {
  public:
-  DistributedRuntime(const Catalog* catalog, const SubjectRegistry* subjects)
-      : catalog_(catalog), subjects_(subjects) {}
-
-  /// Loads the data of a base relation (held by its owning authority),
-  /// taking ownership of a copy.
-  void LoadTable(RelId rel, Table table) {
-    owned_tables_[rel] = std::move(table);
-    base_tables_[rel] = &owned_tables_[rel];
-  }
-
-  /// Borrows the data of a base relation. The caller keeps `table` alive and
-  /// unchanged for the lifetime of the runtime — the serving layer uses this
-  /// so cached plans share one copy of the base data instead of duplicating
-  /// it per cache entry.
-  void LoadTableRef(RelId rel, const Table* table) {
-    base_tables_[rel] = table;
-  }
+  /// `nonce_seed` starts the per-Run seed sequence. A caller that rebuilds a
+  /// runtime over the same keys must pass a seed no earlier runtime used, or
+  /// the rebuilt runtime's first Run reuses the earlier one's nonces.
+  DistributedRuntime(const Catalog* catalog, const SubjectRegistry* subjects,
+                     uint64_t nonce_seed = 0x243f6a8885a308d3ull)
+      : catalog_(catalog), subjects_(subjects), nonce_seed_(nonce_seed) {}
 
   /// Distributes key material per the plan-key holders; the dispatcher
   /// (`user`) receives every key so it can formulate encrypted constants in
@@ -132,7 +123,9 @@ class DistributedRuntime {
   /// recording.
   void SetOpProfile(OpProfile* profile) { op_profile_ = profile; }
 
-  /// Executes the extended plan; the result is delivered to `user`.
+  /// Executes the extended plan over `tables` (borrowed for the call; each
+  /// base relation held by its owning authority); the result is delivered
+  /// to `user`.
   ///
   /// With a `trace` attached, the run records one "frag" span per dispatch
   /// step (assignee, rows, arena bytes, Paillier fold counts), one "net"
@@ -142,6 +135,7 @@ class DistributedRuntime {
   /// execution never reads the trace, so traced runs are bit-identical to
   /// untraced ones at any thread count.
   Result<DistributedResult> Run(const ExtendedPlan& ext, SubjectId user,
+                                const BaseTables& tables,
                                 QueryTrace* trace = nullptr,
                                 uint64_t trace_parent = 0);
 
@@ -155,8 +149,6 @@ class DistributedRuntime {
  private:
   const Catalog* catalog_;
   const SubjectRegistry* subjects_;
-  std::map<RelId, Table> owned_tables_;
-  std::map<RelId, const Table*> base_tables_;
   std::map<SubjectId, KeyRing> keyrings_;
   KeyRing dispatcher_keyring_;
   /// Public Paillier moduli, shared into every per-node ExecContext by
@@ -167,9 +159,9 @@ class DistributedRuntime {
   std::unordered_map<std::string, UdfImpl> udfs_;
   /// Seed for per-node nonce bases (each node n encrypts with nonces derived
   /// from SplitMix64(seed, n->id), independent of scheduling order). Atomic:
-  /// concurrent Run calls each advance it once, so no two runs — parallel or
-  /// sequential — share a (key, nonce) pair.
-  std::atomic<uint64_t> nonce_seed_{0x243f6a8885a308d3ull};
+  /// concurrent Run calls each advance it once, so no two runs of this runtime
+  /// — parallel or sequential — share a (key, nonce) pair.
+  std::atomic<uint64_t> nonce_seed_;
   ThreadPool* pool_ = nullptr;
   size_t batch_size_ = Table::kDefaultBatchSize;
   SimNet* net_ = nullptr;

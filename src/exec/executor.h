@@ -57,6 +57,9 @@ using UdfImpl = std::function<Result<Cell>(const std::vector<Cell>&)>;
 /// instances once per operator.
 using HomKeyDirectory = std::unordered_map<uint64_t, uint64_t>;
 
+/// The data of each base relation a query reads, borrowed from its owner.
+using BaseTables = std::unordered_map<RelId, const Table*>;
+
 /// Execution environment. `keyring` holds the keys available to the engine
 /// performing encryption/decryption operators — an engine without a key fails
 /// with kNotFound, which is exactly the enforcement property key distribution
@@ -66,7 +69,7 @@ using HomKeyDirectory = std::unordered_map<uint64_t, uint64_t>;
 /// already formulated on encrypted values).
 struct ExecContext {
   const Catalog* catalog = nullptr;
-  std::unordered_map<RelId, const Table*> base_tables;
+  BaseTables base_tables;
   const KeyRing* keyring = nullptr;
   const KeyRing* dispatcher_keyring = nullptr;
   /// Public Paillier moduli per key id (public knowledge; homomorphic

@@ -38,8 +38,8 @@ namespace mpq {
 /// shared_ptr pins every table (and the column payloads inside them) for as
 /// long as a reader needs them, independent of later publishes.
 struct Snapshot {
-  /// Monotonically increasing publication id — the snapshot epoch serving
-  /// layers key cached plans by.
+  /// Monotonically increasing publication id; a served request reports the
+  /// id of the snapshot it read (QueryStats::snapshot_id).
   uint64_t id = 0;
   std::map<RelId, std::shared_ptr<const Table>> tables;
   /// Relations demoted to compressed segments (TableStore::MakeCold). A

@@ -33,14 +33,13 @@ size_t QueryService::PlanCacheKeyHash::operator()(
   h = SplitMix64(h ^ k.catalog_version * 0xbf58476d1ce4e5b9ull);
   h = SplitMix64(h ^ k.policy_epoch * 0x94d049bb133111ebull);
   h = SplitMix64(h ^ k.net_epoch * 0xd6e8feb86659fd93ull);
-  h = SplitMix64(h ^ k.snapshot_epoch * 0xa0761d6478bd642full);
   return static_cast<size_t>(h);
 }
 
 size_t QueryService::PlanCacheKeyHash::operator()(const PlanCacheKey& k) const {
   return operator()(PlanCacheKeyRef{k.normalized_sql, k.subject,
                                     k.catalog_version, k.policy_epoch,
-                                    k.net_epoch, k.snapshot_epoch});
+                                    k.net_epoch});
 }
 
 /// Blocks until the in-flight count drops below the cap, then holds a slot
@@ -207,6 +206,22 @@ QueryService::~QueryService() = default;
 void QueryService::LoadTable(RelId rel, const Table* data) {
   std::lock_guard<std::mutex> lock(tables_mu_);
   tables_[rel] = data;
+}
+
+BaseTables QueryService::BindTables(const Snapshot* snapshot) const {
+  BaseTables tables;
+  {
+    std::lock_guard<std::mutex> lock(tables_mu_);
+    tables = tables_;
+  }
+  if (snapshot == nullptr) return tables;
+  for (const auto& [rel, table] : snapshot->tables) tables[rel] = table.get();
+  // Cold (segment-backed) relations decode on first touch; the memoized
+  // table lives as long as the pinned snapshot.
+  for (const auto& [rel, seg] : snapshot->cold) {
+    if (const Table* t = snapshot->Get(rel)) tables[rel] = t;
+  }
+  return tables;
 }
 
 Result<Session> QueryService::OpenSession(SubjectId subject) {
@@ -548,7 +563,6 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
                                 const AstSelect* ast, SubjectId subject,
                                 uint64_t policy_epoch,
                                 uint64_t catalog_version,
-                                std::shared_ptr<const Snapshot> snapshot,
                                 QueryTrace* trace, uint64_t trace_parent) {
   AstSelect parsed;
   if (ast == nullptr) {
@@ -644,29 +658,12 @@ QueryService::BuildPreparedPlan(const std::string& normalized_sql,
   Span keys = trace != nullptr ? trace->StartSpan("keys", "plan", trace_parent)
                                : Span();
   entry->keys = DeriveQueryPlanKeys(entry->assignment.extended);
-  entry->runtime = std::make_unique<DistributedRuntime>(catalog_, subjects_);
-  {
-    std::lock_guard<std::mutex> lock(tables_mu_);
-    for (const auto& [rel, table] : tables_) {
-      entry->runtime->LoadTableRef(rel, table);
-    }
-  }
-  // Store-managed relations shadow static registrations: the runtime reads
-  // the pinned snapshot's version, and the PreparedPlan keeps the snapshot
-  // alive for as long as the cache may serve this plan.
-  if (snapshot != nullptr) {
-    for (const auto& [rel, table] : snapshot->tables) {
-      entry->runtime->LoadTableRef(rel, table.get());
-    }
-    // Cold (segment-backed) relations decode on first touch; the memoized
-    // table lives as long as the pinned snapshot.
-    for (const auto& [rel, seg] : snapshot->cold) {
-      (void)seg;
-      const Table* t = snapshot->Get(rel);
-      if (t != nullptr) entry->runtime->LoadTableRef(rel, t);
-    }
-    entry->snapshot = std::move(snapshot);
-  }
+  // A rebuilt plan derives the same keys as the plan it replaces (the seed
+  // below depends only on the statement, subject and policy epoch), so its
+  // runtime starts the nonce sequence from a fresh build number instead.
+  entry->runtime = std::make_unique<DistributedRuntime>(
+      catalog_, subjects_,
+      SplitMix64(runtime_builds_.fetch_add(1, std::memory_order_relaxed)));
   uint64_t seed = SplitMix64(config_.key_seed ^
                              std::hash<std::string>{}(normalized_sql));
   seed = SplitMix64(seed ^
@@ -712,23 +709,23 @@ Result<QueryResponse> QueryService::ExecuteInternal(
                   : Span();
   const uint64_t root_span = root.id();
 
+  // Pin the store snapshot once, up front: everything this request reads
+  // comes from this one immutable version, whether the plan is cached or
+  // not, and whether or not the run fails over.
+  std::shared_ptr<const Snapshot> snapshot =
+      config_.store != nullptr ? config_.store->Current() : nullptr;
+  const BaseTables tables = BindTables(snapshot.get());
+
   // The epoch/version pair is read once, up front: every request that starts
   // after a policy or schema mutation returns is keyed past the stale
   // entries, which therefore can never serve it. The key is a borrowed view
   // of the caller's normalized SQL — a cache hit copies no statement text.
-  // Pin the store snapshot once, up front: everything this request reads
-  // comes from this one immutable version, and the id keys the cache so a
-  // write publication retires plans built over the superseded snapshot.
-  std::shared_ptr<const Snapshot> snapshot =
-      config_.store != nullptr ? config_.store->Current() : nullptr;
-
   PlanCacheKeyRef key;
   key.normalized_sql = normalized_sql;
   key.subject = session.subject();
   key.catalog_version = catalog_->version();
   key.policy_epoch = policy_->epoch();
   key.net_epoch = config_.net != nullptr ? config_.net->liveness_epoch() : 0;
-  key.snapshot_epoch = snapshot != nullptr ? snapshot->id : 0;
 
   Span probe = trace != nullptr
                    ? trace->StartSpan("cache_probe", "cache", root_span)
@@ -742,8 +739,8 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   if (entry == nullptr) {
     auto built =
         BuildPreparedPlan(normalized_sql, ast, session.subject(),
-                          key.policy_epoch, key.catalog_version, snapshot,
-                          trace.get(), root_span);
+                          key.policy_epoch, key.catalog_version, trace.get(),
+                          root_span);
     if (!built.ok()) {
       errors_.fetch_add(1, std::memory_order_relaxed);
       if (root) root.AnnStr("error", built.status().ToString());
@@ -752,9 +749,7 @@ Result<QueryResponse> QueryService::ExecuteInternal(
     if (policy_->epoch() == key.policy_epoch &&
         catalog_->version() == key.catalog_version &&
         (config_.net == nullptr ||
-         config_.net->liveness_epoch() == key.net_epoch) &&
-        (config_.store == nullptr ||
-         config_.store->snapshot_epoch() == key.snapshot_epoch)) {
+         config_.net->liveness_epoch() == key.net_epoch)) {
       // Insertion may evict, and so destroy, the LRU tail's plan.
       Span insert = trace != nullptr
                         ? trace->StartSpan("cache_insert", "cache", root_span)
@@ -773,8 +768,9 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   auto t1 = Clock::now();
   uint64_t delivered_before =
       config_.net != nullptr ? config_.net->GetStats().bytes_delivered : 0;
-  Result<DistributedResult> run = entry->runtime->Run(
-      entry->assignment.extended, session.subject(), trace.get(), root_span);
+  Result<DistributedResult> run =
+      entry->runtime->Run(entry->assignment.extended, session.subject(),
+                          tables, trace.get(), root_span);
 
   // Retry-on-failover: a provider died under the cached plan. Retire the
   // entry (the next request re-plans around the down subjects) and recover
@@ -797,8 +793,13 @@ Result<QueryResponse> QueryService::ExecuteInternal(
         config_.net->GetStats().bytes_delivered - delivered_before;
     FailoverConfig fc;
     fc.caps = config_.caps;
-    fc.key_seed = SplitMix64(config_.key_seed ^ 0xfa170fe3ull ^
-                             std::hash<std::string>{}(normalized_sql));
+    // A fresh build number gives every recovery its own keys, so two
+    // recoveries of one statement never share a (key, nonce) pair.
+    fc.key_seed = SplitMix64(
+        config_.key_seed ^ 0xfa170fe3ull ^
+        std::hash<std::string>{}(normalized_sql) ^
+        runtime_builds_.fetch_add(1, std::memory_order_relaxed) *
+            0x9e3779b97f4a7c15ull);
     fc.max_failovers = config_.max_failovers;
     fc.net_policy = config_.net_policy;
     fc.pool = pool_.get();
@@ -808,23 +809,8 @@ Result<QueryResponse> QueryService::ExecuteInternal(
     fc.trace_parent = root_span;
     FailoverExecutor failover(catalog_, subjects_, policy_, prices_,
                               topology_, config_.net, fc);
-    {
-      std::lock_guard<std::mutex> lock(tables_mu_);
-      for (const auto& [rel, table] : tables_) {
-        failover.LoadTable(rel, table);
-      }
-    }
     // The recovery reads the same pinned snapshot the failed run did.
-    if (entry->snapshot != nullptr) {
-      for (const auto& [rel, table] : entry->snapshot->tables) {
-        failover.LoadTable(rel, table.get());
-      }
-      for (const auto& [rel, seg] : entry->snapshot->cold) {
-        (void)seg;
-        const Table* t = entry->snapshot->Get(rel);
-        if (t != nullptr) failover.LoadTable(rel, t);
-      }
-    }
+    for (const auto& [rel, table] : tables) failover.LoadTable(rel, table);
     Result<FailoverOutcome> recovered =
         failover.Recover(entry->bound_plan.get(), session.subject());
     if (recovered.ok()) {
@@ -889,7 +875,7 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   response.stats.cache = outcome;
   response.stats.policy_epoch = plan_epoch;
   response.stats.catalog_version = plan_catalog_version;
-  response.stats.snapshot_id = key.snapshot_epoch;
+  response.stats.snapshot_id = snapshot != nullptr ? snapshot->id : 0;
   response.stats.result_rows = response.table.num_rows();
   response.stats.transfer_bytes = run->total_transfer_bytes;
   response.stats.num_messages = run->num_messages;

@@ -84,10 +84,11 @@ struct ServiceConfig {
   double slow_query_s = 0.1;
   /// Versioned table storage (borrowed; may be null = static tables only).
   /// With a store attached, every Execute pins the store's current Snapshot
-  /// up front and reads exclusively from it: a write committing mid-query
-  /// is invisible to in-flight requests, and the snapshot id joins the plan
-  /// cache key, so a cached plan never serves rows from a superseded
-  /// snapshot. Store-managed relations shadow LoadTable registrations.
+  /// up front and reads exclusively from it, cached plan or not: a write
+  /// committing mid-query is invisible to in-flight requests, and the next
+  /// request reads the new snapshot through the same cached plan (plans
+  /// hold no table data). Store-managed relations shadow LoadTable
+  /// registrations.
   TableStore* store = nullptr;
 };
 
@@ -203,8 +204,8 @@ class QueryService {
 
   /// Registers the data of a base relation (borrowed; the caller keeps it
   /// alive and unchanged while the service runs). Safe to call concurrently
-  /// with Execute; plans cached before the call keep serving from the
-  /// tables they were built against.
+  /// with Execute; every request that starts after the call reads `data`,
+  /// including requests served by plans cached before it.
   void LoadTable(RelId rel, const Table* data);
 
   /// Opens a session for a registered subject.
@@ -317,10 +318,6 @@ class QueryService {
     /// built around a down provider stops being served once liveness
     /// changes, instead of outliving the outage.
     uint64_t net_epoch = 0;
-    /// TableStore snapshot id at request start (0 without a store): a
-    /// cached plan's runtime borrows tables of one snapshot, so any write
-    /// publication moves new requests past the stale entry.
-    uint64_t snapshot_epoch = 0;
   };
   struct PlanCacheKey {
     std::string normalized_sql;
@@ -328,7 +325,6 @@ class QueryService {
     uint64_t catalog_version = 0;
     uint64_t policy_epoch = 0;
     uint64_t net_epoch = 0;
-    uint64_t snapshot_epoch = 0;
 
     PlanCacheKey() = default;
     explicit PlanCacheKey(const PlanCacheKeyRef& ref)
@@ -336,13 +332,11 @@ class QueryService {
           subject(ref.subject),
           catalog_version(ref.catalog_version),
           policy_epoch(ref.policy_epoch),
-          net_epoch(ref.net_epoch),
-          snapshot_epoch(ref.snapshot_epoch) {}
+          net_epoch(ref.net_epoch) {}
 
     bool operator==(const PlanCacheKeyRef& o) const {
       return subject == o.subject && catalog_version == o.catalog_version &&
              policy_epoch == o.policy_epoch && net_epoch == o.net_epoch &&
-             snapshot_epoch == o.snapshot_epoch &&
              normalized_sql == o.normalized_sql;
     }
   };
@@ -353,17 +347,16 @@ class QueryService {
   };
 
   /// One memoized front-half result: the authorized minimum-cost extended
-  /// plan and a runtime ready to execute it (tables borrowed, keys
-  /// distributed, crypto plan installed). Immutable after construction
-  /// except the runtime's atomic nonce sequence — concurrent Run is safe.
+  /// plan and a runtime ready to execute it (keys distributed, crypto plan
+  /// installed). It holds no table data — each request passes the tables
+  /// of its own pinned snapshot to Run — so it depends only on its cache
+  /// key. Immutable after construction except the runtime's atomic nonce
+  /// sequence — concurrent Run is safe.
   struct PreparedPlan {
     PlanPtr bound_plan;  ///< Keeps original nodes alive for the extended tree.
     AssignmentResult assignment;
     PlanKeys keys;
     std::unique_ptr<DistributedRuntime> runtime;
-    /// Pins the store snapshot the runtime's table references point into —
-    /// a later publication can never free tables under a cached plan.
-    std::shared_ptr<const Snapshot> snapshot;
     uint64_t policy_epoch = 0;
     uint64_t catalog_version = 0;
     /// Cost-model estimates over the extended plan (refined schemes), keyed
@@ -409,8 +402,11 @@ class QueryService {
   Result<std::shared_ptr<PreparedPlan>> BuildPreparedPlan(
       const std::string& normalized_sql, const AstSelect* ast,
       SubjectId subject, uint64_t policy_epoch, uint64_t catalog_version,
-      std::shared_ptr<const Snapshot> snapshot, QueryTrace* trace,
-      uint64_t trace_parent);
+      QueryTrace* trace, uint64_t trace_parent);
+  /// The tables a request reads: the LoadTable registrations, with the
+  /// relations of the request's pinned `snapshot` (null = no store) taking
+  /// their place. Pointers into the snapshot stay valid while it is pinned.
+  BaseTables BindTables(const Snapshot* snapshot) const;
   /// Resolves a (relation, column) pair for the counter APIs and checks the
   /// session subject's plaintext visibility over the column's attribute.
   Result<std::pair<RelId, int>> ResolveCounterColumn(
@@ -425,7 +421,7 @@ class QueryService {
   ServiceConfig config_;
 
   mutable std::mutex tables_mu_;
-  std::map<RelId, const Table*> tables_;  // guarded by tables_mu_
+  BaseTables tables_;  // guarded by tables_mu_
   /// Every cached plan's runtime and every failover runtime runs on this
   /// pool, so all concurrent queries draw from its one morsel queue. Null
   /// when the service executes inline.
@@ -461,6 +457,9 @@ class QueryService {
   mutable std::atomic<uint64_t> counter_ops_{0};
   std::atomic<uint64_t> next_session_id_{1};
   std::atomic<uint64_t> next_statement_id_{1};
+  /// Runtimes built so far (cached plans and failover recoveries); each
+  /// build draws a fresh number for its nonce or key seed.
+  std::atomic<uint64_t> runtime_builds_{0};
   /// Per-operator timing/row counters, shared by every runtime this service
   /// builds (cached plans included).
   OpProfile op_profile_;

@@ -45,6 +45,9 @@ class DistributedTest : public ::testing::Test {
   void SetUp() override {
     ex_ = MakePaperExample();
     plan_ = ex_->BuildQueryPlan();
+    hosp_ = ex_->HospData();
+    ins_ = ex_->InsData();
+    tables_ = {{ex_->hosp, &hosp_}, {ex_->ins, &ins_}};
   }
 
   Assignment Fig7a() {
@@ -60,8 +63,6 @@ class DistributedTest : public ::testing::Test {
   std::unique_ptr<DistributedRuntime> MakeRuntime(const ExtendedPlan& ext) {
     auto rt = std::make_unique<DistributedRuntime>(&ex_->catalog,
                                                    &ex_->subjects);
-    rt->LoadTable(ex_->hosp, ex_->HospData());
-    rt->LoadTable(ex_->ins, ex_->InsData());
     PlanKeys keys = DeriveQueryPlanKeys(ext);
     rt->DistributeKeys(keys, ex_->U, /*seed=*/2024);
     SchemeMap schemes = AnalyzeSchemes(plan_.get(), ex_->catalog, SchemeCaps{});
@@ -71,6 +72,8 @@ class DistributedTest : public ::testing::Test {
 
   std::unique_ptr<PaperExample> ex_;
   PlanPtr plan_;
+  Table hosp_, ins_;
+  BaseTables tables_;
 };
 
 TEST_F(DistributedTest, Fig7aEndToEndMatchesPlaintext) {
@@ -78,7 +81,7 @@ TEST_F(DistributedTest, Fig7aEndToEndMatchesPlaintext) {
       BuildMinimallyExtendedPlan(plan_.get(), Fig7a(), *ex_->policy, ex_->U);
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   auto rt = MakeRuntime(*ext);
-  auto result = rt->Run(*ext, ex_->U);
+  auto result = rt->Run(*ext, ex_->U, tables_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Same answer as the plaintext run: one group (tpa, avg 160).
   ASSERT_EQ(result->result.num_rows(), 1u);
@@ -104,7 +107,7 @@ TEST_F(DistributedTest, Fig7bEndToEndMatchesPlaintext) {
       BuildMinimallyExtendedPlan(plan_.get(), fig7b, *ex_->policy, ex_->U);
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   auto rt = MakeRuntime(*ext);
-  auto result = rt->Run(*ext, ex_->U);
+  auto result = rt->Run(*ext, ex_->U, tables_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->result.num_rows(), 1u);
 }
@@ -114,7 +117,7 @@ TEST_F(DistributedTest, StatsAccountPerSubject) {
       BuildMinimallyExtendedPlan(plan_.get(), Fig7a(), *ex_->policy, ex_->U);
   ASSERT_TRUE(ext.ok());
   auto rt = MakeRuntime(*ext);
-  auto result = rt->Run(*ext, ex_->U);
+  auto result = rt->Run(*ext, ex_->U, tables_);
   ASSERT_TRUE(result.ok());
   // H, I, X, Y all execute something.
   EXPECT_GT(result->stats.at(ex_->H).ops_executed, 0u);
@@ -135,12 +138,10 @@ TEST_F(DistributedTest, MissingKeyBlocksExecution) {
   ASSERT_TRUE(ext.ok());
   // Runtime WITHOUT key distribution: H cannot encrypt S.
   DistributedRuntime rt(&ex_->catalog, &ex_->subjects);
-  rt.LoadTable(ex_->hosp, ex_->HospData());
-  rt.LoadTable(ex_->ins, ex_->InsData());
   PlanKeys keys = DeriveQueryPlanKeys(*ext);
   SchemeMap schemes = AnalyzeSchemes(plan_.get(), ex_->catalog, SchemeCaps{});
   rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
-  auto result = rt.Run(*ext, ex_->U);
+  auto result = rt.Run(*ext, ex_->U, tables_);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
@@ -180,12 +181,13 @@ TEST(DistributedTpchTest, UAPencKeyringsFollowDef61Holders) {
   ASSERT_FALSE(keys.groups.empty());
 
   DistributedRuntime rt(&env.catalog, &env.subjects);
-  for (const auto& [rel, t] : db.tables) rt.LoadTable(rel, t);
+  BaseTables tables;
+  for (const auto& [rel, t] : db.tables) tables[rel] = &t;
   rt.DistributeKeys(keys, env.user, /*seed=*/2025);
   rt.SetCryptoPlan(MakeCryptoPlan(r->refined_schemes, keys));
   ExpectExactDef61Keyrings(rt, keys, env.user, env.subjects.size());
   // The exact keyrings suffice: the plan runs to completion.
-  auto result = rt.Run(r->extended, env.user);
+  auto result = rt.Run(r->extended, env.user, tables);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
@@ -199,7 +201,7 @@ TEST_F(DistributedTest, AllUserPlanHasSingleHop) {
                                         ex_->U);
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   auto rt = MakeRuntime(*ext);
-  auto result = rt->Run(*ext, ex_->U);
+  auto result = rt->Run(*ext, ex_->U, tables_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Transfers: H→U (after π/σ... σD at U: H→U once), I→U once.
   EXPECT_EQ(result->num_messages, 2u);

@@ -55,10 +55,12 @@ struct Pipeline {
 
     PlanKeys keys = DeriveQueryPlanKeys(r.extended);
     DistributedRuntime rt(&env.catalog, &env.subjects);
-    for (const auto& [rel, t] : db.tables) rt.LoadTable(rel, t);
+    BaseTables tables;
+    for (const auto& [rel, t] : db.tables) tables[rel] = &t;
     rt.DistributeKeys(keys, env.user, 2025);
     rt.SetCryptoPlan(MakeCryptoPlan(r.refined_schemes, keys));
-    MPQ_ASSIGN_OR_RETURN(DistributedResult res, rt.Run(r.extended, env.user));
+    MPQ_ASSIGN_OR_RETURN(DistributedResult res,
+                         rt.Run(r.extended, env.user, tables));
     return std::make_pair(res.result.num_rows(), res.total_transfer_bytes);
   }
 };

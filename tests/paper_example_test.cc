@@ -55,11 +55,12 @@ TEST(PaperExampleTest, FullPipeline) {
 
   // 6. Distributed encrypted execution.
   DistributedRuntime rt(&ex->catalog, &ex->subjects);
-  rt.LoadTable(ex->hosp, ex->HospData());
-  rt.LoadTable(ex->ins, ex->InsData());
+  const Table hosp = ex->HospData();
+  const Table ins = ex->InsData();
   rt.DistributeKeys(keys, ex->U, 99);
   rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
-  auto result = rt.Run(assignment->extended, ex->U);
+  auto result =
+      rt.Run(assignment->extended, ex->U, {{ex->hosp, &hosp}, {ex->ins, &ins}});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // 7. The answer matches the plaintext execution.

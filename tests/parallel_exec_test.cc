@@ -79,8 +79,6 @@ class ParallelExecTest : public ::testing::Test {
   /// workers (0 = no pool).
   DistributedResult RunDistributed(const ExtendedPlan& ext, size_t threads) {
     DistributedRuntime rt(&ex_->catalog, &ex_->subjects);
-    rt.LoadTable(ex_->hosp, ex_->HospData());
-    rt.LoadTable(ex_->ins, ex_->InsData());
     PlanKeys keys = DeriveQueryPlanKeys(ext);
     rt.DistributeKeys(keys, ex_->U, /*seed=*/2024);
     SchemeMap schemes = AnalyzeSchemes(plan_.get(), ex_->catalog, SchemeCaps{});
@@ -91,7 +89,8 @@ class ParallelExecTest : public ::testing::Test {
       pool = std::make_unique<ThreadPool>(threads);
       rt.SetThreadPool(pool.get());
     }
-    Result<DistributedResult> r = rt.Run(ext, ex_->U);
+    Result<DistributedResult> r =
+        rt.Run(ext, ex_->U, {{ex_->hosp, &hosp_}, {ex_->ins, &ins_}});
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? std::move(r).value() : DistributedResult();
   }
@@ -168,15 +167,14 @@ TEST_F(ParallelExecTest, DistributedParallelKeyEnforcementStillFails) {
   // No key distribution: the first encrypting subject must fail, and the
   // error must surface through the async scheduler.
   DistributedRuntime rt(&ex_->catalog, &ex_->subjects);
-  rt.LoadTable(ex_->hosp, ex_->HospData());
-  rt.LoadTable(ex_->ins, ex_->InsData());
   PlanKeys keys = DeriveQueryPlanKeys(*ext);
   SchemeMap schemes = AnalyzeSchemes(plan_.get(), ex_->catalog, SchemeCaps{});
   rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
   ThreadPool pool(4);
   rt.SetThreadPool(&pool);
   rt.SetBatchSize(2);
-  Result<DistributedResult> r = rt.Run(*ext, ex_->U);
+  Result<DistributedResult> r =
+      rt.Run(*ext, ex_->U, {{ex_->hosp, &hosp_}, {ex_->ins, &ins_}});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }

@@ -152,10 +152,11 @@ TEST_P(RandomScenarioTest, ExtendedExecutionMatchesPlaintext) {
   SchemeMap schemes =
       AnalyzeSchemes(sc->plan.get(), *sc->catalog, SchemeCaps{});
   DistributedRuntime rt(sc->catalog.get(), sc->subjects.get());
-  for (const auto& [rel, t] : data) rt.LoadTable(rel, t);
+  BaseTables tables;
+  for (const auto& [rel, t] : data) tables[rel] = &t;
   rt.DistributeKeys(keys, sc->user, GetParam());
   rt.SetCryptoPlan(MakeCryptoPlan(schemes, keys));
-  auto result = rt.Run(*ext, sc->user);
+  auto result = rt.Run(*ext, sc->user, tables);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Same cardinality; and when fully plaintext at the root, same multiset of

@@ -304,6 +304,28 @@ TEST_F(ServiceTest, CatalogChangeInvalidatesCachedPlans) {
   EXPECT_EQ(after->stats.cache, CacheOutcome::kMiss);
 }
 
+TEST_F(ServiceTest, LoadTableAfterCachingIsReadByTheCachedPlan) {
+  auto service = MakeService();
+  auto session = service->OpenSession(ex_->U);
+  ASSERT_TRUE(session.ok());
+  const std::string sql = "select S from Hosp where D = 'stroke'";
+  auto before = service->ExecuteSql(sql, *session);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->table.num_rows(), 3u);
+
+  // A new table for Hosp: plans hold no table data, so the cached plan
+  // serves the next request from the new registration.
+  Table more = ex_->HospData();
+  more.AddRow({Cell(Value(int64_t{104})), Cell(Value(int64_t{1999})),
+               Cell(Value(std::string("stroke"))),
+               Cell(Value(std::string("tpa")))});
+  service->LoadTable(ex_->hosp, &more);
+  auto after = service->ExecuteSql(sql, *session);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->stats.cache, CacheOutcome::kHit);
+  EXPECT_EQ(after->table.num_rows(), 4u);
+}
+
 // ------------------------------------------------ concurrent execution ---
 
 TEST_F(ServiceTest, WarmResultsIdenticalToColdUnderConcurrency) {

@@ -1,17 +1,20 @@
 // Write-path tests: MVCC snapshot isolation of the TableStore, write
-// statement execution and authorization through the service, plan-cache
-// invalidation across writes (a cached plan must never serve rows of a
-// superseded snapshot), MRV counter semantics (invariant total >= 0,
-// rollback, balance/adjust), and a concurrent-writer differential test
-// against a serial oracle: the same set of statements applied by 1, 2, and
-// 8 writer threads must converge to the bit-identical store state the
-// serial application produces.
+// statement execution and authorization through the service, cached plans
+// across writes (a request always reads the snapshot it pinned, never a
+// superseded one), fresh nonces for rebuilt plans, MRV counter semantics
+// (invariant total >= 0, rollback, balance/adjust), and a concurrent-writer
+// differential test against a serial oracle: the same set of statements
+// applied by 1, 2, and 8 writer threads must converge to the bit-identical
+// store state the serial application produces.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -273,7 +276,7 @@ TEST_F(WritesTest, WriteAuthorizationUsesPlaintextView) {
   EXPECT_EQ(resp->table.num_rows(), 1u);
 }
 
-TEST_F(WritesTest, NoStalePlanServedAcrossAWrite) {
+TEST_F(WritesTest, WarmPlanReadsEachRequestsSnapshot) {
   auto store = MakeStore();
   auto service = MakeService(store.get());
   Session h = *service->OpenSession(ex_->H);
@@ -293,13 +296,127 @@ TEST_F(WritesTest, NoStalePlanServedAcrossAWrite) {
                       "insert into Hosp values (700, 1, 'stroke', 'tpa')", h)
                   .ok());
 
-  // The write advanced the snapshot epoch: the cached plan is unreachable
-  // and the re-planned query sees the new row.
+  // The plan holds no table data: the cached plan serves the request, which
+  // reads the snapshot it pinned and so sees the new row.
   auto r3 = service->ExecuteSql(sql, u);
   ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(r3->stats.cache, CacheOutcome::kMiss);
+  EXPECT_EQ(r3->stats.cache, CacheOutcome::kHit);
   EXPECT_EQ(r3->table.num_rows(), 4u);
   EXPECT_GT(r3->stats.snapshot_id, r2->stats.snapshot_id);
+}
+
+TEST_F(WritesTest, ConcurrentReadersSeeTheSnapshotTheyReport) {
+  constexpr int kCommits = 40;
+  constexpr int kReaders = 2;
+  auto store = MakeStore();
+  auto service = MakeService(store.get());
+  Session h = *service->OpenSession(ex_->H);
+  Session u = *service->OpenSession(ex_->U);
+  const std::string sql = "select S from Hosp where D = 'stroke'";
+
+  // Snapshot id -> 'stroke' rows in it. Only the writer below commits, and
+  // each commit adds one such row.
+  std::map<uint64_t, size_t> expected = {{store->snapshot_epoch(), 3}};
+  struct Seen {
+    uint64_t snapshot_id;
+    size_t rows;
+    CacheOutcome cache;
+  };
+  std::vector<std::vector<Seen>> seen(kReaders);
+  // The snapshot of the latest reader response (readers may overwrite a
+  // newer id with an older one; the writer then just waits longer).
+  std::atomic<uint64_t> newest_read{0};
+  std::atomic<int> errors{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      while (!stop.load(std::memory_order_acquire)) {
+        auto resp = service->ExecuteSql(sql, u);
+        if (!resp.ok()) {
+          errors.fetch_add(1);
+          continue;
+        }
+        seen[r].push_back({resp->stats.snapshot_id, resp->table.num_rows(),
+                           resp->stats.cache});
+        newest_read.store(resp->stats.snapshot_id);
+      }
+    });
+  }
+
+  // After each commit, wait until some reader has served its snapshot, so
+  // the readers' responses cover every published snapshot.
+  bool all_read = true;
+  for (int i = 0; i < kCommits && all_read; ++i) {
+    Result<WriteResult> w = service->ExecuteWrite(
+        StrFormat("insert into Hosp values (%d, 1, 'stroke', 'tpa')", 800 + i),
+        h);
+    if (!w.ok()) {
+      ADD_FAILURE() << w.status().ToString();
+      break;
+    }
+    expected[w->snapshot_id] = 3 + static_cast<size_t>(i) + 1;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (newest_read.load() < w->snapshot_id) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        all_read = false;
+        break;
+      }
+      std::this_thread::yield();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  ASSERT_TRUE(all_read) << "no reader served a committed snapshot in 30 s";
+
+  EXPECT_EQ(errors.load(), 0);
+  std::set<uint64_t> hit_snapshots;
+  for (const std::vector<Seen>& reader : seen) {
+    for (const Seen& s : reader) {
+      auto it = expected.find(s.snapshot_id);
+      ASSERT_NE(it, expected.end()) << "snapshot " << s.snapshot_id;
+      EXPECT_EQ(s.rows, it->second) << "snapshot " << s.snapshot_id;
+      if (s.cache == CacheOutcome::kHit) hit_snapshots.insert(s.snapshot_id);
+    }
+  }
+  EXPECT_GE(hit_snapshots.size(), 10u);
+}
+
+TEST_F(WritesTest, RebuiltPlanDrawsFreshNonces) {
+  auto store = MakeStore();
+  auto service = MakeService(store.get());
+  Session i = *service->OpenSession(ex_->I);
+  const std::string sql = "select S, D from Hosp";
+
+  // The (key id, nonce) pair of every randomized-encryption cell I receives.
+  auto rnd_nonces = [&](CacheOutcome want) {
+    std::set<std::pair<uint64_t, std::string>> out;
+    auto resp = service->ExecuteSql(sql, i);
+    EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+    if (!resp.ok()) return out;
+    EXPECT_EQ(resp->stats.cache, want);
+    for (size_t c = 0; c < resp->table.num_columns(); ++c) {
+      for (size_t r = 0; r < resp->table.num_rows(); ++r) {
+        Cell cell = resp->table.col(c).GetCell(r);
+        if (cell.is_encrypted() && cell.enc().scheme == EncScheme::kRandom) {
+          out.insert({cell.enc().key_id, cell.enc().blob.substr(0, 8)});
+        }
+      }
+    }
+    return out;
+  };
+
+  const auto first = rnd_nonces(CacheOutcome::kMiss);
+  ASSERT_FALSE(first.empty()) << "I receives no randomized ciphertexts";
+  // The rebuilt plan derives the same keys, so it must draw other nonces.
+  service->InvalidateCache();
+  const auto rebuilt = rnd_nonces(CacheOutcome::kMiss);
+  ASSERT_EQ(rebuilt.size(), first.size());
+  for (const auto& pair : rebuilt) {
+    EXPECT_EQ(first.count(pair), 0u) << "key " << pair.first
+                                     << " reuses a nonce after a rebuild";
+  }
 }
 
 // ---- MRV counters through the service --------------------------------------
