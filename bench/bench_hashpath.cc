@@ -38,6 +38,7 @@
 #include "crypto/keyring.h"
 #include "exec/executor.h"
 #include "obs/trace.h"
+#include "storage/segment.h"
 #include "testing/reference_exec.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -64,6 +65,13 @@ double BestOf(int reps, const std::function<double()>& run) {
   double best = 1e300;
   for (int i = 0; i < reps; ++i) best = std::min(best, run());
   return best;
+}
+
+/// A result's segment encoding: deterministic and lossless, so equal
+/// frames mean bit-identical tables.
+std::string Frame(const Table& t) {
+  Result<std::string> f = EncodeSegment(t);
+  return f.ok() ? *f : "encode error: " + f.status().ToString();
 }
 
 }  // namespace
@@ -348,13 +356,13 @@ int main(int argc, char** argv) {
         continue;
       }
       verified = CanonicalRows(*row_result) == CanonicalRows(*r1);
-      wire1 = r1->SerializeColumns();
+      wire1 = Frame(*r1);
     }
     for (ThreadPool* pool : {&pool2, &pool8}) {
       ExecContext ctx;
       setup_ctx(&ctx, pool);
       Result<Table> r = ExecutePlan(wl.plan.get(), &ctx);
-      verified = verified && r.ok() && r->SerializeColumns() == wire1;
+      verified = verified && r.ok() && Frame(*r) == wire1;
     }
     // Traced re-runs at 1, 2 and 8 threads: tracing is observation-only, so
     // the serialized result bytes must equal the untraced run's exactly.
@@ -371,7 +379,7 @@ int main(int argc, char** argv) {
         ctx.trace = qtrace.get();
         Result<Table> r = ExecutePlan(wl.plan.get(), &ctx);
         traced_identical =
-            traced_identical && r.ok() && r->SerializeColumns() == wire1;
+            traced_identical && r.ok() && Frame(*r) == wire1;
         if (pool == &pool8) trace_sink.Add(qtrace);
       }
       verified = verified && traced_identical;

@@ -50,42 +50,52 @@ double EncSchemeCiphertextBytes(EncScheme s, double plain_bytes) {
 
 namespace {
 
-void Keystream(uint64_t key, uint64_t nonce, size_t len, std::string* out) {
-  out->resize(len);
+/// XORs `len` bytes of `in` with the keystream of (key, nonce) into `out`:
+/// block k = the k-th SplitMix64 step from SplitMix64(key ^
+/// SplitMix64(nonce)), its little-endian bytes masking bytes [8k, 8k + 8).
+void XorKeystream(uint64_t key, uint64_t nonce, const char* in, size_t len,
+                  char* out) {
   uint64_t state = SplitMix64(key ^ SplitMix64(nonce));
   size_t i = 0;
-  while (i < len) {
+  for (; i + 8 <= len; i += 8) {
     state = SplitMix64(state);
-    uint64_t block = state;
-    size_t chunk = std::min<size_t>(8, len - i);
-    std::memcpy(out->data() + i, &block, chunk);
-    i += chunk;
+    uint64_t word;
+    std::memcpy(&word, in + i, 8);
+    word ^= state;
+    std::memcpy(out + i, &word, 8);
   }
-}
-
-uint64_t PrfNonce(uint64_t key, const std::string& plaintext) {
-  uint64_t h = SplitMix64(key ^ 0xdeadbeefcafef00dull);
-  for (unsigned char c : plaintext) h = SplitMix64(h ^ c);
-  return h;
+  state = SplitMix64(state);
+  for (size_t k = 0; i < len; ++i, ++k) {
+    out[i] = static_cast<char>(in[i] ^ static_cast<char>(state >> (8 * k)));
+  }
 }
 
 }  // namespace
 
+uint64_t DetNonce(uint64_t key, const char* plaintext, size_t len) {
+  uint64_t h = SplitMix64(key ^ 0xdeadbeefcafef00dull);
+  for (size_t i = 0; i < len; ++i) {
+    h = SplitMix64(h ^ static_cast<unsigned char>(plaintext[i]));
+  }
+  return h;
+}
+
+void SymEncryptTo(uint64_t key, uint64_t nonce, const char* plaintext,
+                  size_t len, char* out) {
+  std::memcpy(out, &nonce, 8);
+  XorKeystream(key, nonce, plaintext, len, out + 8);
+}
+
 std::string SymEncrypt(uint64_t key, uint64_t nonce,
                        const std::string& plaintext) {
-  std::string out;
-  out.resize(8 + plaintext.size());
-  std::memcpy(out.data(), &nonce, 8);
-  std::string ks;
-  Keystream(key, nonce, plaintext.size(), &ks);
-  for (size_t i = 0; i < plaintext.size(); ++i) {
-    out[8 + i] = static_cast<char>(plaintext[i] ^ ks[i]);
-  }
+  std::string out(8 + plaintext.size(), '\0');
+  SymEncryptTo(key, nonce, plaintext.data(), plaintext.size(), out.data());
   return out;
 }
 
 std::string DetEncrypt(uint64_t key, const std::string& plaintext) {
-  return SymEncrypt(key, PrfNonce(key, plaintext), plaintext);
+  return SymEncrypt(key, DetNonce(key, plaintext.data(), plaintext.size()),
+                    plaintext);
 }
 
 std::string RndEncrypt(uint64_t key, uint64_t fresh_nonce,
@@ -93,20 +103,14 @@ std::string RndEncrypt(uint64_t key, uint64_t fresh_nonce,
   return SymEncrypt(key, fresh_nonce, plaintext);
 }
 
-Result<std::string> SymDecrypt(uint64_t key, const std::string& ciphertext) {
+Result<std::string> SymDecrypt(uint64_t key, std::string_view ciphertext) {
   if (ciphertext.size() < 8) {
     return Status::InvalidArgument("ciphertext too short");
   }
   uint64_t nonce;
   std::memcpy(&nonce, ciphertext.data(), 8);
-  size_t len = ciphertext.size() - 8;
-  std::string ks;
-  Keystream(key, nonce, len, &ks);
-  std::string out;
-  out.resize(len);
-  for (size_t i = 0; i < len; ++i) {
-    out[i] = static_cast<char>(ciphertext[8 + i] ^ ks[i]);
-  }
+  std::string out(ciphertext.size() - 8, '\0');
+  XorKeystream(key, nonce, ciphertext.data() + 8, out.size(), out.data());
   return out;
 }
 

@@ -11,8 +11,10 @@
 #ifndef MPQ_CRYPTO_CIPHER_H_
 #define MPQ_CRYPTO_CIPHER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -24,6 +26,14 @@ namespace mpq {
 std::string SymEncrypt(uint64_t key, uint64_t nonce,
                        const std::string& plaintext);
 
+/// SymEncrypt into `out[0, 8 + len)`, allocation-free: for encoders that
+/// write ciphertexts straight into a column arena.
+void SymEncryptTo(uint64_t key, uint64_t nonce, const char* plaintext,
+                  size_t len, char* out);
+
+/// The deterministic scheme's nonce, PRF(key, plaintext).
+uint64_t DetNonce(uint64_t key, const char* plaintext, size_t len);
+
 /// Deterministic encryption: nonce = PRF(key, plaintext).
 std::string DetEncrypt(uint64_t key, const std::string& plaintext);
 
@@ -32,7 +42,7 @@ std::string RndEncrypt(uint64_t key, uint64_t fresh_nonce,
                        const std::string& plaintext);
 
 /// Inverts SymEncrypt/DetEncrypt/RndEncrypt.
-Result<std::string> SymDecrypt(uint64_t key, const std::string& ciphertext);
+Result<std::string> SymDecrypt(uint64_t key, std::string_view ciphertext);
 
 }  // namespace mpq
 

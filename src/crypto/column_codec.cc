@@ -1,8 +1,11 @@
 #include "crypto/column_codec.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
+
+#include "crypto/cipher.h"
 
 namespace mpq {
 
@@ -26,7 +29,7 @@ ColumnCodec::ColumnCodec(uint64_t key_id, uint64_t public_modulus)
 
 Status ColumnCodec::EncryptSpan(const ColumnData& src, size_t begin,
                                 size_t end, EncScheme scheme,
-                                uint64_t nonce_base, EncValue* out) const {
+                                uint64_t nonce_base, ColumnData* out) const {
   if (!has_material_) return NoMaterial(key_id_, "encrypt");
   // Paillier over a plain int64 vector encodes and exponentiates straight
   // from the typed span — no Cell/Value materialization per row.
@@ -42,19 +45,45 @@ Status ColumnCodec::EncryptSpan(const ColumnData& src, size_t begin,
       uint64_t nonce = (nonce_base + r) | 1;  // same blinding as EncryptValue
       uint128 c = pre != nullptr ? pre->Encrypt(m, nonce)
                                  : PaillierEncrypt(km_.paillier, m, nonce);
-      EncValue& ev = out[r - begin];
-      ev.scheme = scheme;
-      ev.key_id = key_id_;
-      ev.blob = PaillierCipherToBytes(c);
-      ev.aux = 1;
+      std::memcpy(out->AppendEncBlob(scheme, key_id_, sizeof(c)), &c,
+                  sizeof(c));
+    }
+    return Status::OK();
+  }
+  // RND/DET over a typed column: serialize each row as Value::Serialize
+  // does (tag byte, then the payload) and encrypt it into the arena.
+  bool sym = scheme == EncScheme::kRandom ||
+             scheme == EncScheme::kDeterministic;
+  if (sym && src.rep() != ColumnRep::kCell && src.rep() != ColumnRep::kEnc) {
+    std::string plain;
+    for (size_t r = begin; r < end; ++r) {
+      plain.clear();
+      if (src.IsNull(r)) {
+        plain.push_back('N');
+      } else if (src.rep() == ColumnRep::kString) {
+        plain.push_back('S');
+        plain.append(src.str()[r]);
+      } else {
+        plain.push_back(src.rep() == ColumnRep::kInt64 ? 'I' : 'D');
+        const void* word = src.rep() == ColumnRep::kInt64
+                               ? static_cast<const void*>(&src.i64()[r])
+                               : static_cast<const void*>(&src.f64()[r]);
+        plain.append(static_cast<const char*>(word), 8);
+      }
+      uint64_t nonce = scheme == EncScheme::kRandom
+                           ? nonce_base + r
+                           : DetNonce(km_.sym, plain.data(), plain.size());
+      SymEncryptTo(km_.sym, nonce, plain.data(), plain.size(),
+                   out->AppendEncBlob(scheme, key_id_, 8 + plain.size()));
     }
     return Status::OK();
   }
   for (size_t r = begin; r < end; ++r) {
     Cell cell = src.GetCell(r);
     MPQ_ASSIGN_OR_RETURN(
-        out[r - begin],
+        EncValue ev,
         EncryptValue(cell.plain(), scheme, key_id_, km_, nonce_base + r));
+    out->AppendEnc(ev);
   }
   return Status::OK();
 }
@@ -76,7 +105,7 @@ Status ColumnCodec::DecryptSpan(const ColumnData& src, size_t begin,
         continue;
       }
     }
-    const EncValue& ev = src.EncAt(r);
+    EncView ev = src.EncAt(r);
     MPQ_ASSIGN_OR_RETURN(Value v, DecryptValue(ev, km_, type));
     if (hom_avg) {
       slot = Cell(Value(v.AsDouble() /

@@ -41,14 +41,16 @@ class ColumnCodec {
   /// True when the codec holds full key material (can encrypt/decrypt).
   bool has_material() const { return has_material_; }
 
-  /// Encrypts plaintext rows [begin, end) of `src` under `scheme`, writing
-  /// the `end - begin` ciphertexts to `out[0..)`. Row r draws nonce
+  /// Encrypts plaintext rows [begin, end) of `src` under `scheme`,
+  /// appending the `end - begin` ciphertexts to `out`, a kEnc column
+  /// (typed rows are written straight into its arena). Row r draws nonce
   /// `nonce_base + r` (absolute row index), so spans may be encrypted in
-  /// any batch partition — including concurrently, the method is const and
-  /// thread-safe — without changing a single output bit.
+  /// any batch partition — including concurrently into separate columns,
+  /// the method is const and thread-safe — without changing a single
+  /// output bit.
   Status EncryptSpan(const ColumnData& src, size_t begin, size_t end,
                      EncScheme scheme, uint64_t nonce_base,
-                     EncValue* out) const;
+                     ColumnData* out) const;
 
   /// Decrypts rows [begin, end) of `src` into `out[0..end - begin)`: NULL
   /// rows become null cells, plaintext rows pass through untouched,

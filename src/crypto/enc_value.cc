@@ -63,7 +63,7 @@ Result<EncValue> EncryptValue(const Value& v, EncScheme scheme, uint64_t key_id,
   return Status::Internal("unreachable scheme");
 }
 
-Result<Value> DecryptValue(const EncValue& ev, const KeyMaterial& keys,
+Result<Value> DecryptValue(const EncView& ev, const KeyMaterial& keys,
                            DataType type) {
   switch (ev.scheme) {
     case EncScheme::kRandom:
@@ -98,8 +98,11 @@ Result<bool> CompareCells(CmpOp op, const Cell& a, const Cell& b) {
     return Status::Unsupported(
         "cannot compare a plaintext cell with an encrypted cell");
   }
-  const EncValue& ea = a.enc();
-  const EncValue& eb = b.enc();
+  return CompareCiphertexts(op, a.enc(), b.enc());
+}
+
+Result<bool> CompareCiphertexts(CmpOp op, const EncView& ea,
+                                const EncView& eb) {
   if (ea.scheme != eb.scheme || ea.key_id != eb.key_id) {
     return Status::Unsupported(
         "cannot compare ciphertexts under different schemes or keys");

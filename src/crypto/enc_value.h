@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "algebra/expr.h"
@@ -33,6 +34,26 @@ struct EncValue {
   bool operator==(const EncValue& o) const {
     return scheme == o.scheme && key_id == o.key_id && blob == o.blob &&
            aux == o.aux;
+  }
+};
+
+/// One ciphertext read in place: `blob` borrows its bytes (a column's
+/// arena, or an EncValue) and stays valid only while they do.
+struct EncView {
+  EncScheme scheme = EncScheme::kRandom;
+  uint64_t key_id = 0;
+  std::string_view blob;
+  int64_t aux = 1;
+
+  EncView() = default;
+  EncView(EncScheme s, uint64_t k, std::string_view b, int64_t a)
+      : scheme(s), key_id(k), blob(b), aux(a) {}
+  EncView(const EncValue& ev)  // NOLINT: a view of an owning ciphertext
+      : scheme(ev.scheme), key_id(ev.key_id), blob(ev.blob), aux(ev.aux) {}
+
+  /// An owning copy, for the Cell boundary.
+  EncValue ToValue() const {
+    return EncValue{scheme, key_id, std::string(blob), aux};
   }
 };
 
@@ -71,13 +92,16 @@ Result<EncValue> EncryptValue(const Value& v, EncScheme scheme, uint64_t key_id,
 /// Decrypts an EncValue; `type` guides numeric decoding. For Paillier cells
 /// this returns the (decoded) homomorphic sum; callers divide by `aux` when
 /// the cell represents an average.
-Result<Value> DecryptValue(const EncValue& ev, const KeyMaterial& keys,
+Result<Value> DecryptValue(const EncView& ev, const KeyMaterial& keys,
                            DataType type);
 
 /// Evaluates `a op b` over two cells. Plaintext pairs compare as Values;
 /// DET ciphertexts support =/<>, OPE ciphertexts all comparisons (same key
 /// required). Everything else is kUnsupported.
 Result<bool> CompareCells(CmpOp op, const Cell& a, const Cell& b);
+
+/// CompareCells over two ciphertexts, read in place.
+Result<bool> CompareCiphertexts(CmpOp op, const EncView& a, const EncView& b);
 
 /// Grouping/join key bytes for a cell (canonical for plaintext, blob for
 /// deterministic and OPE ciphertexts; kUnsupported for RND/HOM, which are not

@@ -25,7 +25,7 @@ std::string ToBigEndian(uint128 v) {
   return out;
 }
 
-uint128 FromBigEndian(const std::string& bytes) {
+uint128 FromBigEndian(std::string_view bytes) {
   uint128 v = 0;
   for (char c : bytes) {
     v = (v << 8) | static_cast<unsigned char>(c);
@@ -42,7 +42,7 @@ std::string OpeEncryptInt(uint64_t key, int64_t x) {
   return ToBigEndian(y);
 }
 
-Result<int64_t> OpeDecryptInt(uint64_t key, const std::string& ct) {
+Result<int64_t> OpeDecryptInt(uint64_t key, std::string_view ct) {
   if (ct.size() != 16) {
     return Status::InvalidArgument("bad OPE ciphertext size");
   }
@@ -65,7 +65,7 @@ Result<std::string> OpeEncryptValue(uint64_t key, const Value& v) {
   return Status::Unsupported("OPE supports numeric values only");
 }
 
-Result<Value> OpeDecryptValue(uint64_t key, const std::string& ct,
+Result<Value> OpeDecryptValue(uint64_t key, std::string_view ct,
                               DataType type) {
   MPQ_ASSIGN_OR_RETURN(int64_t x, OpeDecryptInt(key, ct));
   switch (type) {

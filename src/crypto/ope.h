@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "common/value.h"
@@ -27,13 +28,13 @@ inline constexpr int64_t kFixedPointScale = 10000;
 std::string OpeEncryptInt(uint64_t key, int64_t x);
 
 /// Inverts OpeEncryptInt.
-Result<int64_t> OpeDecryptInt(uint64_t key, const std::string& ct);
+Result<int64_t> OpeDecryptInt(uint64_t key, std::string_view ct);
 
 /// Encrypts a numeric Value (int64 or double via fixed-point).
 Result<std::string> OpeEncryptValue(uint64_t key, const Value& v);
 
 /// Decrypts to a Value of the given type.
-Result<Value> OpeDecryptValue(uint64_t key, const std::string& ct,
+Result<Value> OpeDecryptValue(uint64_t key, std::string_view ct,
                               DataType type);
 
 }  // namespace mpq

@@ -425,7 +425,7 @@ std::string PaillierCipherToBytes(uint128 c) {
   return out;
 }
 
-Result<uint128> PaillierCipherFromBytes(const std::string& bytes) {
+Result<uint128> PaillierCipherFromBytes(std::string_view bytes) {
   if (bytes.size() < 16) return Status::InvalidArgument("bad Paillier bytes");
   uint128 c;
   std::memcpy(&c, bytes.data(), 16);

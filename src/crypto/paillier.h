@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -59,7 +60,7 @@ int64_t PaillierDecodeSigned(const PaillierKey& key, uint64_t m);
 
 /// Serializes a ciphertext to 16 little-endian bytes (and back).
 std::string PaillierCipherToBytes(uint128 c);
-Result<uint128> PaillierCipherFromBytes(const std::string& bytes);
+Result<uint128> PaillierCipherFromBytes(std::string_view bytes);
 
 // ------------------------------------------------------------ fast paths ---
 //

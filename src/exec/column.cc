@@ -1,5 +1,6 @@
 #include "exec/column.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace mpq {
@@ -44,7 +45,7 @@ void ColumnData::Reserve(size_t n) {
       str_.reserve(n);
       break;
     case ColumnRep::kEnc:
-      enc_.reserve(n);
+      ends_.reserve(n);
       break;
     case ColumnRep::kCell:
       cells_.reserve(n);
@@ -56,8 +57,11 @@ void ColumnData::Clear() {
   i64_.clear();
   f64_.clear();
   str_.clear();
-  enc_.clear();
   cells_.clear();
+  arena_.clear();
+  ends_.clear();
+  aux_.clear();
+  enc_keyed_ = false;
   nulls_.clear();
   size_ = 0;
 }
@@ -70,18 +74,100 @@ void ColumnData::GrowNulls(size_t n) {
   if (!nulls_.empty()) nulls_.insert(nulls_.end(), n, 0);
 }
 
+void ColumnData::AppendNullRange(const ColumnData& src, size_t begin,
+                                 size_t n) {
+  if (src.has_nulls()) {
+    EnsureNulls();
+    nulls_.insert(nulls_.end(), src.nulls_.begin() + static_cast<long>(begin),
+                  src.nulls_.begin() + static_cast<long>(begin + n));
+  } else {
+    GrowNulls(n);
+  }
+}
+
+void ColumnData::EnsureAux() {
+  if (aux_.empty()) aux_.assign(size_, 1);
+}
+
+bool ColumnData::AdoptKeyOf(const ColumnData& src) {
+  if (!src.enc_keyed_) return true;
+  if (!enc_keyed_) {
+    enc_scheme_ = src.enc_scheme_;
+    enc_key_ = src.enc_key_;
+    enc_keyed_ = true;
+    return true;
+  }
+  return enc_scheme_ == src.enc_scheme_ && enc_key_ == src.enc_key_;
+}
+
+void ColumnData::AppendEncRange(const ColumnData& src, size_t begin,
+                                size_t n) {
+  if (n == 0) return;
+  uint32_t from = begin == 0 ? 0 : src.ends_[begin - 1];
+  uint32_t to = src.ends_[begin + n - 1];
+  auto base = static_cast<uint32_t>(arena_.size());
+  arena_.append(src.arena_.data() + from, to - from);
+  for (size_t k = 0; k < n; ++k) {
+    ends_.push_back(src.ends_[begin + k] - from + base);
+  }
+  if (!src.aux_.empty()) {
+    EnsureAux();
+    aux_.insert(aux_.end(), src.aux_.begin() + static_cast<long>(begin),
+                src.aux_.begin() + static_cast<long>(begin + n));
+  } else if (!aux_.empty()) {
+    aux_.insert(aux_.end(), n, 1);
+  }
+}
+
+void ColumnData::AppendEnc(const EncView& ev) {
+  if (rep_ == ColumnRep::kEnc) {
+    if (!enc_keyed_) {
+      enc_scheme_ = ev.scheme;
+      enc_key_ = ev.key_id;
+      enc_keyed_ = true;
+    }
+    if (ev.scheme == enc_scheme_ && ev.key_id == enc_key_) {
+      arena_.append(ev.blob);
+      ends_.push_back(static_cast<uint32_t>(arena_.size()));
+      if (ev.aux != 1 || !aux_.empty()) {
+        EnsureAux();
+        aux_.push_back(ev.aux);
+      }
+      GrowNulls(1);
+      size_++;
+      return;
+    }
+  }
+  if (rep_ != ColumnRep::kCell) DemoteToCells();
+  cells_.push_back(Cell(ev.ToValue()));
+  size_++;
+}
+
+char* ColumnData::AppendEncBlob(EncScheme scheme, uint64_t key_id,
+                                size_t len) {
+  assert(rep_ == ColumnRep::kEnc);
+  assert(!enc_keyed_ || (scheme == enc_scheme_ && key_id == enc_key_));
+  enc_scheme_ = scheme;
+  enc_key_ = key_id;
+  enc_keyed_ = true;
+  size_t at = arena_.size();
+  arena_.resize(at + len);
+  ends_.push_back(static_cast<uint32_t>(arena_.size()));
+  if (!aux_.empty()) aux_.push_back(1);
+  GrowNulls(1);
+  size_++;
+  return arena_.data() + at;
+}
+
 void ColumnData::DemoteToCells() {
   if (rep_ == ColumnRep::kCell) return;
   std::vector<Cell> cells;
   cells.reserve(size_);
   for (size_t i = 0; i < size_; ++i) cells.push_back(GetCell(i));
-  cells_ = std::move(cells);
-  i64_.clear();
-  f64_.clear();
-  str_.clear();
-  enc_.clear();
-  nulls_.clear();
+  Clear();
   rep_ = ColumnRep::kCell;
+  cells_ = std::move(cells);
+  size_ = cells_.size();
 }
 
 void ColumnData::AppendNull() {
@@ -104,7 +190,8 @@ void ColumnData::AppendNull() {
       str_.emplace_back();
       break;
     case ColumnRep::kEnc:
-      enc_.emplace_back();
+      ends_.push_back(static_cast<uint32_t>(arena_.size()));
+      if (!aux_.empty()) aux_.push_back(1);
       break;
     case ColumnRep::kCell:
       break;  // handled above
@@ -158,9 +245,7 @@ void ColumnData::AppendValue(Value v) {
 void ColumnData::Append(Cell c) {
   if (c.is_encrypted()) {
     if (rep_ == ColumnRep::kEnc) {
-      enc_.push_back(std::move(c.enc_mut()));
-      GrowNulls(1);
-      size_++;
+      AppendEnc(c.enc());
       return;
     }
     if (rep_ != ColumnRep::kCell) DemoteToCells();
@@ -187,7 +272,7 @@ Cell ColumnData::GetCell(size_t i) const {
     case ColumnRep::kString:
       return Cell(Value(str_[i]));
     case ColumnRep::kEnc:
-      return Cell(enc_[i]);
+      return Cell(EncAt(i).ToValue());
     case ColumnRep::kCell:
       return cells_[i];
   }
@@ -226,8 +311,8 @@ void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
         str_.push_back(src.str_[i]);
         break;
       case ColumnRep::kEnc:
-        enc_.push_back(src.enc_[i]);
-        break;
+        AppendEnc(src.EncAt(i));
+        return;
       case ColumnRep::kCell:
         cells_.push_back(src.cells_[i]);
         size_++;
@@ -241,7 +326,7 @@ void ColumnData::AppendFrom(const ColumnData& src, size_t i) {
 }
 
 void ColumnData::AppendRange(const ColumnData& src, size_t begin, size_t end) {
-  if (src.rep_ == rep_) {
+  if (src.rep_ == rep_ && (rep_ != ColumnRep::kEnc || AdoptKeyOf(src))) {
     size_t n = end - begin;
     switch (rep_) {
       case ColumnRep::kInt64:
@@ -257,24 +342,15 @@ void ColumnData::AppendRange(const ColumnData& src, size_t begin, size_t end) {
                     src.str_.begin() + static_cast<long>(end));
         break;
       case ColumnRep::kEnc:
-        enc_.insert(enc_.end(), src.enc_.begin() + static_cast<long>(begin),
-                    src.enc_.begin() + static_cast<long>(end));
+        AppendEncRange(src, begin, n);
         break;
       case ColumnRep::kCell:
         cells_.insert(cells_.end(),
                       src.cells_.begin() + static_cast<long>(begin),
                       src.cells_.begin() + static_cast<long>(end));
-        size_ += n;
-        return;
+        break;
     }
-    if (src.has_nulls()) {
-      EnsureNulls();
-      nulls_.insert(nulls_.end(),
-                    src.nulls_.begin() + static_cast<long>(begin),
-                    src.nulls_.begin() + static_cast<long>(end));
-    } else {
-      GrowNulls(n);
-    }
+    AppendNullRange(src, begin, n);  // a no-op for kCell, which has no mask
     size_ += n;
     return;
   }
@@ -283,7 +359,7 @@ void ColumnData::AppendRange(const ColumnData& src, size_t begin, size_t end) {
 
 void ColumnData::AppendSelected(const ColumnData& src, const uint32_t* sel,
                                 size_t n) {
-  if (src.rep_ == rep_) {
+  if (src.rep_ == rep_ && (rep_ != ColumnRep::kEnc || AdoptKeyOf(src))) {
     switch (rep_) {
       case ColumnRep::kInt64: {
         // Gather by direct indexed writes — no per-element capacity check.
@@ -305,15 +381,27 @@ void ColumnData::AppendSelected(const ColumnData& src, const uint32_t* sel,
       case ColumnRep::kString:
         for (size_t k = 0; k < n; ++k) str_.push_back(src.str_[sel[k]]);
         break;
-      case ColumnRep::kEnc:
-        for (size_t k = 0; k < n; ++k) enc_.push_back(src.enc_[sel[k]]);
+      case ColumnRep::kEnc: {
+        size_t bytes = 0;
+        for (size_t k = 0; k < n; ++k) bytes += src.EncBlob(sel[k]).size();
+        arena_.reserve(arena_.size() + bytes);
+        for (size_t k = 0; k < n; ++k) {
+          arena_.append(src.EncBlob(sel[k]));
+          ends_.push_back(static_cast<uint32_t>(arena_.size()));
+        }
+        if (!src.aux_.empty()) {
+          EnsureAux();
+          for (size_t k = 0; k < n; ++k) aux_.push_back(src.aux_[sel[k]]);
+        } else if (!aux_.empty()) {
+          aux_.insert(aux_.end(), n, 1);
+        }
         break;
+      }
       case ColumnRep::kCell:
         for (size_t k = 0; k < n; ++k) cells_.push_back(src.cells_[sel[k]]);
-        size_ += n;
-        return;
+        break;
     }
-    if (src.has_nulls()) {
+    if (src.has_nulls()) {  // never for kCell, which has no mask
       EnsureNulls();
       for (size_t k = 0; k < n; ++k) nulls_.push_back(src.nulls_[sel[k]]);
     } else {
@@ -333,69 +421,34 @@ void ColumnData::MoveAppend(ColumnData&& src) {
   if (src.size_ == 0) return;
   if (size_ == 0 && rep_ == src.rep_) {
     *this = std::move(src);
-    src.Clear();
-    return;
+  } else if (rep_ == src.rep_ && rep_ == ColumnRep::kString) {
+    // AppendRange, stealing the strings instead of copying them.
+    str_.insert(str_.end(), std::make_move_iterator(src.str_.begin()),
+                std::make_move_iterator(src.str_.end()));
+    AppendNullRange(src, 0, src.size_);
+    size_ += src.size_;
+  } else {
+    AppendRange(src, 0, src.size_);
   }
-  if (rep_ == src.rep_) {
-    size_t n = src.size_;
-    switch (rep_) {
-      case ColumnRep::kInt64:
-        i64_.insert(i64_.end(), src.i64_.begin(), src.i64_.end());
-        break;
-      case ColumnRep::kDouble:
-        f64_.insert(f64_.end(), src.f64_.begin(), src.f64_.end());
-        break;
-      case ColumnRep::kString:
-        str_.insert(str_.end(), std::make_move_iterator(src.str_.begin()),
-                    std::make_move_iterator(src.str_.end()));
-        break;
-      case ColumnRep::kEnc:
-        enc_.insert(enc_.end(), std::make_move_iterator(src.enc_.begin()),
-                    std::make_move_iterator(src.enc_.end()));
-        break;
-      case ColumnRep::kCell:
-        cells_.insert(cells_.end(),
-                      std::make_move_iterator(src.cells_.begin()),
-                      std::make_move_iterator(src.cells_.end()));
-        size_ += n;
-        src.Clear();
-        return;
-    }
-    if (src.has_nulls()) {
-      EnsureNulls();
-      nulls_.insert(nulls_.end(), src.nulls_.begin(), src.nulls_.end());
-    } else {
-      GrowNulls(n);
-    }
-    size_ += n;
-    src.Clear();
-    return;
-  }
-  for (size_t i = 0; i < src.size_; ++i) Append(src.GetCell(i));
   src.Clear();
 }
 
 uint64_t ColumnData::ByteSize() const {
-  uint64_t total = 0;
+  uint64_t nulls =
+      nulls_.empty() ? 0 : size_ - std::count(nulls_.begin(), nulls_.end(), 0);
+  uint64_t total = nulls;  // a NULL row costs one byte (kCell has no mask)
   switch (rep_) {
     case ColumnRep::kInt64:
     case ColumnRep::kDouble:
-      if (has_nulls()) {
-        for (size_t i = 0; i < size_; ++i) total += IsNull(i) ? 1 : 8;
-      } else {
-        total = 8 * size_;
-      }
-      return total;
+      return total + 8 * (size_ - nulls);
     case ColumnRep::kString:
       for (size_t i = 0; i < size_; ++i) {
-        total += IsNull(i) ? 1 : str_[i].size() + 4;
+        if (!IsNull(i)) total += str_[i].size() + 4;
       }
       return total;
     case ColumnRep::kEnc:
-      for (size_t i = 0; i < size_; ++i) {
-        total += IsNull(i) ? 1 : enc_[i].ByteSize();
-      }
-      return total;
+      // NULL rows hold empty blobs, so the arena is the non-NULL blobs.
+      return total + arena_.size() + 8 * (size_ - nulls);
     case ColumnRep::kCell:
       for (const Cell& c : cells_) total += c.ByteSize();
       return total;
@@ -427,9 +480,24 @@ ColumnData ColumnFromCells(std::vector<Cell> cells) {
   return out;
 }
 
-ColumnData ColumnFromEnc(std::vector<EncValue> encs) {
-  ColumnData out;
-  out.AdoptEnc(std::move(encs));
+ColumnData ColumnData::FromEnc(EncScheme scheme, uint64_t key_id,
+                               std::string arena, std::vector<uint32_t> ends,
+                               std::vector<int64_t> aux,
+                               std::vector<uint8_t> nulls) {
+  ColumnData out(ColumnRep::kEnc);
+  out.size_ = ends.size();
+  out.enc_keyed_ =
+      nulls.empty() ? out.size_ > 0
+                    : std::find(nulls.begin(), nulls.end(), uint8_t{0}) !=
+                          nulls.end();
+  if (out.enc_keyed_) {
+    out.enc_scheme_ = scheme;
+    out.enc_key_ = key_id;
+  }
+  out.arena_ = std::move(arena);
+  out.ends_ = std::move(ends);
+  out.aux_ = std::move(aux);
+  out.nulls_ = std::move(nulls);
   return out;
 }
 
@@ -440,52 +508,52 @@ Status KeyUnsupported() {
       "RND/HOM ciphertexts cannot serve as grouping or join keys");
 }
 
-bool KeyableEnc(const EncValue& ev) {
-  return ev.scheme == EncScheme::kDeterministic || ev.scheme == EncScheme::kOpe;
+bool KeyableScheme(EncScheme s) {
+  return s == EncScheme::kDeterministic || s == EncScheme::kOpe;
+}
+
+/// The bytes a dictionary keys row `r` by: a string's content, or a
+/// ciphertext's blob.
+std::string_view DictBytes(const ColumnData& c, size_t r) {
+  return c.rep() == ColumnRep::kString ? std::string_view(c.str()[r])
+                                       : c.EncBlob(r);
+}
+
+/// Whether rows [begin, end) of `c` can take dictionary codes: strings and
+/// DET/OPE ciphertexts can; an RND/HOM ciphertext row cannot (NULL rows
+/// never need a code).
+Status DictRowsKeyable(const ColumnData& c, size_t begin, size_t end) {
+  if (c.rep() == ColumnRep::kString) return Status::OK();
+  if (c.rep() != ColumnRep::kEnc) {
+    return Status::Internal("dictionary over a non-string/ciphertext column");
+  }
+  if (KeyableScheme(c.enc_scheme())) return Status::OK();
+  for (size_t r = begin; r < end; ++r) {
+    if (!c.IsNull(r)) return KeyUnsupported();
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Status ColumnDict::EncodeRange(size_t begin, size_t end, uint32_t* codes) {
   const ColumnData& c = *col_;
-  if (c.rep() == ColumnRep::kString) {
-    const std::vector<std::string>& vals = c.str();
-    for (size_t r = begin; r < end; ++r) {
-      if (c.IsNull(r)) {
-        codes[r - begin] = 0;
-        continue;
-      }
-      const std::string& s = vals[r];
-      codes[r - begin] = index_.FindOrInsert(
-          HashBytes(s.data(), s.size()),
-          [&](uint32_t id) { return vals[rep_rows_[id]] == s; },
-          [&] {
-            rep_rows_.push_back(static_cast<uint32_t>(r));
-            return static_cast<uint32_t>(rep_rows_.size() - 1);
-          });
+  MPQ_RETURN_NOT_OK(DictRowsKeyable(c, begin, end));
+  for (size_t r = begin; r < end; ++r) {
+    if (c.IsNull(r)) {
+      codes[r - begin] = 0;
+      continue;
     }
-    return Status::OK();
+    std::string_view v = DictBytes(c, r);
+    codes[r - begin] = index_.FindOrInsert(
+        HashBytes(v.data(), v.size()),
+        [&](uint32_t id) { return DictBytes(c, rep_rows_[id]) == v; },
+        [&] {
+          rep_rows_.push_back(static_cast<uint32_t>(r));
+          return static_cast<uint32_t>(rep_rows_.size() - 1);
+        });
   }
-  if (c.rep() == ColumnRep::kEnc) {
-    const std::vector<EncValue>& vals = c.enc();
-    for (size_t r = begin; r < end; ++r) {
-      if (c.IsNull(r)) {
-        codes[r - begin] = 0;
-        continue;
-      }
-      const EncValue& ev = vals[r];
-      if (!KeyableEnc(ev)) return KeyUnsupported();
-      codes[r - begin] = index_.FindOrInsert(
-          HashBytes(ev.blob.data(), ev.blob.size()),
-          [&](uint32_t id) { return vals[rep_rows_[id]].blob == ev.blob; },
-          [&] {
-            rep_rows_.push_back(static_cast<uint32_t>(r));
-            return static_cast<uint32_t>(rep_rows_.size() - 1);
-          });
-    }
-    return Status::OK();
-  }
-  return Status::Internal("dictionary over a non-string/ciphertext column");
+  return Status::OK();
 }
 
 Status ColumnDict::ProbeRange(const ColumnData& probe, size_t begin,
@@ -493,38 +561,18 @@ Status ColumnDict::ProbeRange(const ColumnData& probe, size_t begin,
   if (probe.rep() != col_->rep()) {
     return Status::Internal("dictionary probe over a mismatched column rep");
   }
-  if (probe.rep() == ColumnRep::kString) {
-    const std::vector<std::string>& own = col_->str();
-    const std::vector<std::string>& vals = probe.str();
-    for (size_t r = begin; r < end; ++r) {
-      if (probe.IsNull(r)) {
-        codes[r - begin] = 0;
-        continue;
-      }
-      const std::string& s = vals[r];
-      codes[r - begin] = index_.Find(
-          HashBytes(s.data(), s.size()),
-          [&](uint32_t id) { return own[rep_rows_[id]] == s; });
+  MPQ_RETURN_NOT_OK(DictRowsKeyable(probe, begin, end));
+  for (size_t r = begin; r < end; ++r) {
+    if (probe.IsNull(r)) {
+      codes[r - begin] = 0;
+      continue;
     }
-    return Status::OK();
+    std::string_view v = DictBytes(probe, r);
+    codes[r - begin] = index_.Find(
+        HashBytes(v.data(), v.size()),
+        [&](uint32_t id) { return DictBytes(*col_, rep_rows_[id]) == v; });
   }
-  if (probe.rep() == ColumnRep::kEnc) {
-    const std::vector<EncValue>& own = col_->enc();
-    const std::vector<EncValue>& vals = probe.enc();
-    for (size_t r = begin; r < end; ++r) {
-      if (probe.IsNull(r)) {
-        codes[r - begin] = 0;
-        continue;
-      }
-      const EncValue& ev = vals[r];
-      if (!KeyableEnc(ev)) return KeyUnsupported();
-      codes[r - begin] = index_.Find(
-          HashBytes(ev.blob.data(), ev.blob.size()),
-          [&](uint32_t id) { return own[rep_rows_[id]].blob == ev.blob; });
-    }
-    return Status::OK();
-  }
-  return Status::Internal("dictionary over a non-string/ciphertext column");
+  return Status::OK();
 }
 
 Status AppendKeyBytes(const ColumnData& col, size_t r, std::string* out) {
@@ -549,16 +597,10 @@ Status AppendKeyBytes(const ColumnData& col, size_t r, std::string* out) {
       out->push_back('S');
       out->append(col.str()[r]);
       return Status::OK();
-    case ColumnRep::kEnc: {
-      const EncValue& ev = col.enc()[r];
-      if (ev.scheme == EncScheme::kDeterministic ||
-          ev.scheme == EncScheme::kOpe) {
-        out->append(ev.blob);
-        return Status::OK();
-      }
-      return Status::Unsupported(
-          "RND/HOM ciphertexts cannot serve as grouping or join keys");
-    }
+    case ColumnRep::kEnc:
+      if (!KeyableScheme(col.enc_scheme())) return KeyUnsupported();
+      out->append(col.EncBlob(r));
+      return Status::OK();
     case ColumnRep::kCell: {
       MPQ_ASSIGN_OR_RETURN(std::string k, CellGroupKey(col.cells()[r]));
       out->append(k);

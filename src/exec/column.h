@@ -1,9 +1,10 @@
 // Typed columnar storage: one ColumnData holds every cell of one column of
-// an executing relation as a contiguous typed vector (int64/double/string/
-// EncValue) plus an optional null mask, with a row-of-Cells fallback for the
-// rare heterogeneous column. Operators iterate column-at-a-time and move
-// whole columns between tables; selection vectors (row-index arrays) replace
-// intermediate row materialization.
+// an executing relation as a contiguous typed vector (int64/double/string)
+// or, for ciphertexts, one byte arena plus offsets, with an optional null
+// mask and a row-of-Cells fallback for the rare heterogeneous column.
+// Operators iterate column-at-a-time and move whole columns between tables;
+// selection vectors (row-index arrays) replace intermediate row
+// materialization.
 
 #ifndef MPQ_EXEC_COLUMN_H_
 #define MPQ_EXEC_COLUMN_H_
@@ -11,6 +12,8 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -28,7 +31,7 @@ enum class ColumnRep : uint8_t {
   kInt64,   ///< contiguous int64_t
   kDouble,  ///< contiguous double
   kString,  ///< contiguous std::string
-  kEnc,     ///< contiguous EncValue (ciphertext cells)
+  kEnc,     ///< ciphertexts under one (scheme, key): a blob arena + offsets
   kCell,    ///< heterogeneous fallback: materialized Cells
 };
 
@@ -44,6 +47,13 @@ ColumnRep RepForType(DataType type);
 /// allocated lazily); the typed vector holds a default value in masked
 /// slots. The kCell rep represents NULLs as null cells and never carries a
 /// mask.
+///
+/// A kEnc column carries no per-cell metadata: one (scheme, key id) for the
+/// whole column, fixed by its first ciphertext; the blobs back to back in
+/// one byte arena with a uint32 end offset per row (a NULL row's blob is
+/// empty; a column's blobs total under 4 GiB); and an `aux` counter per
+/// row only once some row's differs from 1 (homomorphic sums). A ciphertext under another scheme or key demotes
+/// the column to kCell, like any other mixed content.
 class ColumnData {
  public:
   ColumnData() = default;
@@ -55,16 +65,30 @@ class ColumnData {
 
   bool has_nulls() const { return !nulls_.empty(); }
   bool IsNull(size_t i) const { return !nulls_.empty() && nulls_[i] != 0; }
+  /// The null mask: empty, or one entry per row (nonzero = NULL).
+  const std::vector<uint8_t>& null_mask() const { return nulls_; }
 
   /// Typed storage. Valid only for the matching rep.
   const std::vector<int64_t>& i64() const { return i64_; }
   const std::vector<double>& f64() const { return f64_; }
   const std::vector<std::string>& str() const { return str_; }
-  const std::vector<EncValue>& enc() const { return enc_; }
   const std::vector<Cell>& cells() const { return cells_; }
-  std::vector<EncValue>& enc() { return enc_; }
   std::vector<Cell>& cells() { return cells_; }
 
+  /// kEnc storage: the column's scheme and key (meaningful once a
+  /// ciphertext was appended), the blob arena, per-row end offsets into it,
+  /// and the aux counters (empty when every row's is 1).
+  EncScheme enc_scheme() const { return enc_scheme_; }
+  uint64_t enc_key_id() const { return enc_key_; }
+  const std::string& enc_arena() const { return arena_; }
+  const std::vector<uint32_t>& enc_ends() const { return ends_; }
+  const std::vector<int64_t>& enc_aux() const { return aux_; }
+
+  /// Blob of kEnc row `i` (empty for a NULL row).
+  std::string_view EncBlob(size_t i) const {
+    uint32_t b = i == 0 ? 0 : ends_[i - 1];
+    return std::string_view(arena_.data() + b, ends_[i] - b);
+  }
   void Reserve(size_t n);
   void Clear();
 
@@ -76,12 +100,23 @@ class ColumnData {
   /// Materializes row `i` as a Cell.
   Cell GetCell(size_t i) const;
 
-  /// The ciphertext at row `i`: a direct reference for rep kEnc, the cell
-  /// variant's payload on the kCell fallback. Precondition: row `i` holds
-  /// an EncValue.
-  const EncValue& EncAt(size_t i) const {
-    return rep_ == ColumnRep::kEnc ? enc_[i] : cells_[i].enc();
+  /// The ciphertext at row `i`, read in place: from the arena for rep
+  /// kEnc, from the cell variant's payload on the kCell fallback.
+  /// Precondition: row `i` holds a ciphertext.
+  EncView EncAt(size_t i) const {
+    if (rep_ != ColumnRep::kEnc) return cells_[i].enc();
+    return EncView{enc_scheme_, enc_key_, EncBlob(i),
+                   aux_.empty() ? 1 : aux_[i]};
   }
+
+  /// Appends one ciphertext, demoting the column when it cannot hold it.
+  void AppendEnc(const EncView& ev);
+
+  /// Appends one ciphertext of `len` blob bytes under (scheme, key) with
+  /// aux 1 and returns where its blob goes, for encoders that write
+  /// ciphertexts straight into the arena. Precondition: rep kEnc and the
+  /// column unkeyed or keyed to (scheme, key).
+  char* AppendEncBlob(EncScheme scheme, uint64_t key_id, size_t len);
 
   /// Plaintext view of row `i`; rep must not be kEnc (kCell rows must hold
   /// plain cells).
@@ -108,13 +143,32 @@ class ColumnData {
   /// there).
   void DemoteToCells();
 
-  /// Replaces this column's content with a contiguous ciphertext vector.
-  void AdoptEnc(std::vector<EncValue> encs) {
-    Clear();
-    rep_ = ColumnRep::kEnc;
-    enc_ = std::move(encs);
-    size_ = enc_.size();
+  /// Bulk constructor for decoders: an int64, double or string column
+  /// adopting `v` whole. `nulls` is empty or one entry per row (1 = NULL).
+  template <typename T>
+  static ColumnData FromVector(std::vector<T> v, std::vector<uint8_t> nulls) {
+    ColumnData out;
+    out.size_ = v.size();
+    out.nulls_ = std::move(nulls);
+    if constexpr (std::is_same_v<T, int64_t>) {
+      out.rep_ = ColumnRep::kInt64;
+      out.i64_ = std::move(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      out.rep_ = ColumnRep::kDouble;
+      out.f64_ = std::move(v);
+    } else {
+      out.rep_ = ColumnRep::kString;
+      out.str_ = std::move(v);
+    }
+    return out;
   }
+  /// A kEnc column over `arena` with per-row end offsets `ends` (ascending,
+  /// the last equal to the arena size; NULL rows empty) and `aux` empty or
+  /// one entry per row. A column with no non-NULL row stays unkeyed.
+  static ColumnData FromEnc(EncScheme scheme, uint64_t key_id,
+                            std::string arena, std::vector<uint32_t> ends,
+                            std::vector<int64_t> aux,
+                            std::vector<uint8_t> nulls);
 
   /// Payload bytes, matching the historical per-Cell accounting: null 1,
   /// int64/double 8, string len+4, ciphertext blob+8.
@@ -125,14 +179,30 @@ class ColumnData {
   void EnsureNulls();
   /// Appends `n` not-null entries to the mask if it exists.
   void GrowNulls(size_t n);
+  /// Appends the null flags of rows [begin, begin + n) of `src`.
+  void AppendNullRange(const ColumnData& src, size_t begin, size_t n);
+  /// Whether this kEnc column can take ciphertexts of `src`'s (scheme,
+  /// key) — and adopts them when this column is still unkeyed. An unkeyed
+  /// `src` (no ciphertext yet) is always compatible.
+  bool AdoptKeyOf(const ColumnData& src);
+  /// Appends `n` blobs copied from rows [begin, begin + n) of kEnc `src`
+  /// (same key) with their aux counters; nulls are the caller's.
+  void AppendEncRange(const ColumnData& src, size_t begin, size_t n);
+  /// Extends aux_ to size_ entries of 1 if absent.
+  void EnsureAux();
 
   ColumnRep rep_ = ColumnRep::kCell;
   size_t size_ = 0;
   std::vector<int64_t> i64_;
   std::vector<double> f64_;
   std::vector<std::string> str_;
-  std::vector<EncValue> enc_;
   std::vector<Cell> cells_;
+  EncScheme enc_scheme_ = EncScheme::kRandom;
+  uint64_t enc_key_ = 0;
+  bool enc_keyed_ = false;  ///< (scheme, key) fixed by a ciphertext
+  std::string arena_;
+  std::vector<uint32_t> ends_;  ///< kEnc: size_ end offsets into arena_
+  std::vector<int64_t> aux_;    ///< kEnc: empty, or size_ counters
   std::vector<uint8_t> nulls_;  ///< empty, or size_ entries (1 = NULL)
 };
 
@@ -184,9 +254,6 @@ class ColumnDict {
 /// Builds a column from materialized cells, choosing the typed rep from the
 /// first non-null cell (heterogeneous content demotes to kCell).
 ColumnData ColumnFromCells(std::vector<Cell> cells);
-
-/// Builds a ciphertext column from a contiguous EncValue vector.
-ColumnData ColumnFromEnc(std::vector<EncValue> encs);
 
 }  // namespace mpq
 

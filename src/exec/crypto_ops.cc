@@ -33,17 +33,22 @@ Result<Table> ExecEncrypt(const PlanNode* n, Table in, ExecContext* ctx) {
     // nonce_base + r, so ciphertexts do not depend on batch scheduling,
     // thread count, or sibling-subtree execution order. The whole column is
     // encrypted with one key lookup, batch-parallel over its contiguous
-    // plaintext vector (EncryptSpan is const and thread-safe).
+    // plaintext vector (EncryptSpan is const and thread-safe): each morsel
+    // fills its own ciphertext column, spliced in morsel order.
     uint64_t nonce_base = ctx->ColumnNonceBase(n->id, a);
     const ColumnData& src = in.col(static_cast<size_t>(idx));
-    std::vector<EncValue> encs(in.num_rows());
+    size_t grain = Grain(ctx);
+    std::vector<ColumnData> parts((in.num_rows() + grain - 1) / grain,
+                                  ColumnData(ColumnRep::kEnc));
     MPQ_RETURN_NOT_OK(OpParallelFor(
         ctx, OpKind::kEncrypt, in.num_rows(),
         [&](size_t begin, size_t end) -> Status {
           return codec.EncryptSpan(src, begin, end, scheme, nonce_base,
-                                   encs.data() + begin);
+                                   &parts[begin / grain]);
         }));
-    in.SetColumnData(static_cast<size_t>(idx), ColumnFromEnc(std::move(encs)));
+    ColumnData encs(ColumnRep::kEnc);
+    for (ColumnData& part : parts) encs.MoveAppend(std::move(part));
+    in.SetColumnData(static_cast<size_t>(idx), std::move(encs));
     col.encrypted = true;
     col.scheme = scheme;
     col.key_id = key_id;

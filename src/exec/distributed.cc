@@ -263,26 +263,19 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
       uint64_t bytes = t.ByteSize();
       if (net_ != nullptr) {
         // The fragment crosses the simulated wire as a compressed column
-        // segment (or the plain column-at-a-time serialization when wire
-        // compression is disabled): the sender encodes whole columns, the
-        // network is charged the encoded size, and the receiver decodes —
-        // so the encode/decode round-trip is exercised on every
-        // assignee-crossing edge. (SimNet drops or delays whole messages,
-        // never flips bytes; decode of corrupt frames is covered by the
-        // serde unit tests.)
-        std::string wire;
-        if (compress_wire_) {
-          Result<std::string> enc = EncodeSegment(t);
-          if (!enc.ok()) {
-            xfer.AnnStr("error", enc.status().ToString());
-            record_error(n->id, enc.status());
-            return;
-          }
-          wire = std::move(*enc);
-        } else {
-          wire = t.SerializeColumns();
+        // segment: the sender encodes whole columns, the network is charged
+        // the encoded size, and the receiver decodes — so the encode/decode
+        // round-trip is exercised on every assignee-crossing edge. (SimNet
+        // drops or delays whole messages, never flips bytes; decode of
+        // corrupt frames is covered by the segment fuzz tests.)
+        Result<std::string> wire = EncodeSegment(t);
+        if (!wire.ok()) {
+          xfer.AnnInt("bytes", static_cast<int64_t>(bytes));
+          xfer.AnnStr("error", wire.status().ToString());
+          record_error(n->id, wire.status());
+          return;
         }
-        bytes = wire.size();
+        bytes = wire->size();
         Result<DeliveryReport> d =
             net_->Deliver(s, dst, bytes, n->id, net_policy_);
         if (!d.ok()) {
@@ -291,13 +284,11 @@ Result<DistributedResult> DistributedRuntime::Run(const ExtendedPlan& ext,
           record_error(n->id, d.status());
           return;
         }
-        Result<Table> decoded = [&]() -> Result<Table> {
-          if (!compress_wire_) return Table::DeserializeColumns(wire);
-          Result<SegmentReader> seg = SegmentReader::Open(std::move(wire));
-          if (!seg.ok()) return seg.status();
-          return seg->Decode();
-        }();
+        Result<SegmentReader> seg = SegmentReader::Open(std::move(*wire));
+        Result<Table> decoded = seg.ok() ? seg->Decode() : seg.status();
         if (!decoded.ok()) {
+          xfer.AnnInt("bytes", static_cast<int64_t>(bytes));
+          xfer.AnnStr("error", decoded.status().ToString());
           record_error(n->id, decoded.status());
           return;
         }

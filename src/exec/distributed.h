@@ -112,12 +112,6 @@ class DistributedRuntime {
   /// attached.
   void SetNetPolicy(NetPolicy policy) { net_policy_ = policy; }
 
-  /// Whether assignee-crossing transfers cross the wire as compressed
-  /// column segments (the default) or as the plain column-at-a-time v2
-  /// serialization. Either way the receiver decodes what was sent;
-  /// NetReport bytes reflect the chosen encoding's size.
-  void SetCompressWire(bool compress) { compress_wire_ = compress; }
-
   /// Attaches per-operator execution counters (borrowed; typically shared
   /// by every runtime of a serving process). Null (the default) disables
   /// recording.
@@ -166,7 +160,6 @@ class DistributedRuntime {
   size_t batch_size_ = Table::kDefaultBatchSize;
   SimNet* net_ = nullptr;
   NetPolicy net_policy_;
-  bool compress_wire_ = true;
   OpProfile* op_profile_ = nullptr;
 };
 

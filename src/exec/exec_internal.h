@@ -106,29 +106,6 @@ inline int CmpPlainRows(const ColumnData& a, size_t i, const ColumnData& b,
   return 0;
 }
 
-/// CompareCells over two ciphertext cells, operating on EncValues directly.
-inline Result<bool> CmpEncRows(CmpOp op, const EncValue& ea,
-                               const EncValue& eb) {
-  if (ea.scheme != eb.scheme || ea.key_id != eb.key_id) {
-    return Status::Unsupported(
-        "cannot compare ciphertexts under different schemes or keys");
-  }
-  switch (ea.scheme) {
-    case EncScheme::kDeterministic:
-      if (op == CmpOp::kEq) return ea.blob == eb.blob;
-      if (op == CmpOp::kNe) return ea.blob != eb.blob;
-      return Status::Unsupported(
-          "deterministic ciphertexts support only equality comparison");
-    case EncScheme::kOpe:
-      return ApplyCmp(op, ea.blob.compare(eb.blob));
-    case EncScheme::kRandom:
-      return Status::Unsupported("randomized ciphertexts are not comparable");
-    case EncScheme::kPaillier:
-      return Status::Unsupported("Paillier ciphertexts are not comparable");
-  }
-  return Status::Internal("unreachable scheme");
-}
-
 Status FilterAll(const std::vector<BoundPredicate>& preds, const Table& t,
                  SelectionVector* sel);
 

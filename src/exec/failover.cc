@@ -51,7 +51,6 @@ Result<FailoverOutcome> FailoverExecutor::Attempt(const PlanNode* plan,
   rt.SetBatchSize(config_.batch_size);
   rt.SetNetwork(net_);
   rt.SetNetPolicy(config_.net_policy);
-  rt.SetCompressWire(config_.compress_wire);
   rt.SetOpProfile(config_.op_profile);
 
   MPQ_ASSIGN_OR_RETURN(

@@ -34,7 +34,6 @@ struct FailoverConfig {
   uint64_t key_seed = 2025;      ///< Base seed for per-attempt key material.
   size_t max_failovers = 2;      ///< Re-plan attempts after the first run.
   NetPolicy net_policy;          ///< Per-edge retry/deadline budget.
-  bool compress_wire = true;     ///< Segment-encode cross-subject transfers.
   ThreadPool* pool = nullptr;    ///< Borrowed; null = sequential.
   size_t batch_size = Table::kDefaultBatchSize;
   OpProfile* op_profile = nullptr;  ///< Borrowed; null = no op counters.

@@ -53,8 +53,8 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
           if (keep) s[kept++] = r;
           continue;
         }
-        MPQ_ASSIGN_OR_RETURN(bool keep,
-                             CmpEncRows(bp.op, lhs.enc()[r], rhs.enc()[r]));
+        MPQ_ASSIGN_OR_RETURN(
+            bool keep, CompareCiphertexts(bp.op, lhs.EncAt(r), rhs.EncAt(r)));
         if (keep) s[kept++] = r;
       }
       s.resize(kept);
@@ -99,7 +99,7 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
     return Status::OK();
   }
   if (bp.rhs_const.is_encrypted() && lhs.rep() == ColumnRep::kEnc) {
-    const EncValue& ev = bp.rhs_const.enc();
+    EncView ev = bp.rhs_const.enc();
     for (uint32_t r : s) {
       if (lhs.IsNull(r)) {
         MPQ_ASSIGN_OR_RETURN(
@@ -107,7 +107,8 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
         if (keep) s[kept++] = r;
         continue;
       }
-      MPQ_ASSIGN_OR_RETURN(bool keep, CmpEncRows(bp.op, lhs.enc()[r], ev));
+      MPQ_ASSIGN_OR_RETURN(bool keep,
+                           CompareCiphertexts(bp.op, lhs.EncAt(r), ev));
       if (keep) s[kept++] = r;
     }
     s.resize(kept);

@@ -63,7 +63,7 @@ Result<bool> RowBetter(const ColumnData& col, CmpOp op, size_t i, size_t j) {
     return ApplyCmp(op, CmpPlainRows(col, i, col, j));
   }
   if (col.rep() == ColumnRep::kEnc && !col.IsNull(i) && !col.IsNull(j)) {
-    return CmpEncRows(op, col.enc()[i], col.enc()[j]);
+    return CompareCiphertexts(op, col.EncAt(i), col.EncAt(j));
   }
   return CompareCells(op, col.GetCell(i), col.GetCell(j));
 }
@@ -114,7 +114,7 @@ Status AccumulateRow(const PlanNode* n, const Aggregate& agg,
         case ColumnRep::kEnc:
           break;
       }
-      const EncValue& ev = col.EncAt(r);
+      EncView ev = col.EncAt(r);
       if (ev.scheme != EncScheme::kPaillier) {
         return Status::Unsupported(StrFormat(
             "node %d: %s over %s ciphertext requires the HOM scheme", n->id,
@@ -323,7 +323,7 @@ Result<Cell> AggOutputCell(const Aggregate& agg, const AggState& s,
     case AggFunc::kSum:
     case AggFunc::kAvg: {
       if (s.hom) {
-        EncValue ev = col->EncAt(s.hom_template_row);
+        EncValue ev = col->EncAt(s.hom_template_row).ToValue();
         ev.blob = PaillierCipherToBytes(s.hom_cipher);
         ev.aux = s.hom_count;
         return Cell(std::move(ev));
@@ -469,33 +469,32 @@ Result<Groups> HashGroupBy(const PlanNode* n, const Table& in,
           bool sumlike =
               agg.func == AggFunc::kSum || agg.func == AggFunc::kAvg;
           // Lazy homomorphic fold: stage (row, group) pairs; the Montgomery
-          // work happens once per group at finalize. Scheme and key checks
-          // stay per row so error surfacing matches the eager path, with an
-          // inline last-key cache replacing the per-row hash lookup.
+          // work happens once per group at finalize. The column has one
+          // scheme and key, checked at its first non-NULL row of the batch
+          // so error surfacing matches the eager path.
           if (sumlike && lazy_slot[ai] >= 0) {
-            const std::vector<EncValue>& encs = col.enc();
+            const std::vector<int64_t>& aux = col.enc_aux();
             auto slot = static_cast<size_t>(lazy_slot[ai]);
             std::vector<uint32_t>& hrows = bg.hom_rows[slot];
             std::vector<uint32_t>& hgids = bg.hom_gids[slot];
             const ColumnCodec* codec = nullptr;
-            uint64_t codec_key = 0;
             for (size_t r = begin; r < end; ++r) {
               if (col.IsNull(r)) continue;
-              const EncValue& ev = encs[r];
-              if (ev.scheme != EncScheme::kPaillier) {
-                return Status::Unsupported(StrFormat(
-                    "node %d: %s over %s ciphertext requires the HOM scheme",
-                    n->id, AggFuncName(agg.func), EncSchemeName(ev.scheme)));
-              }
-              if (codec == nullptr || ev.key_id != codec_key) {
-                auto pm = hom_codecs.find(ev.key_id);
+              if (codec == nullptr) {
+                if (col.enc_scheme() != EncScheme::kPaillier) {
+                  return Status::Unsupported(StrFormat(
+                      "node %d: %s over %s ciphertext requires the HOM "
+                      "scheme",
+                      n->id, AggFuncName(agg.func),
+                      EncSchemeName(col.enc_scheme())));
+                }
+                auto pm = hom_codecs.find(col.enc_key_id());
                 if (pm == hom_codecs.end()) {
                   return Status::NotFound(StrFormat(
                       "node %d: no public modulus for key %llu", n->id,
-                      static_cast<unsigned long long>(ev.key_id)));
+                      static_cast<unsigned long long>(col.enc_key_id())));
                 }
                 codec = &pm->second;
-                codec_key = ev.key_id;
               }
               AggState& s = st[gid[r - begin] * num_aggs + ai];
               if (!s.hom) {
@@ -503,7 +502,7 @@ Result<Groups> HashGroupBy(const PlanNode* n, const Table& in,
                 s.hom_codec = codec;
                 s.hom_template_row = r;
               }
-              s.hom_count += ev.aux;
+              s.hom_count += aux.empty() ? 1 : aux[r];
               hrows.push_back(static_cast<uint32_t>(r));
               hgids.push_back(gid[r - begin]);
             }
@@ -684,7 +683,7 @@ Result<Groups> HashGroupBy(const PlanNode* n, const Table& in,
       if (b == e) continue;  // no ciphertext rows: plaintext/NULL-only group
       // Fold under the group's first ciphertext key — the same binding the
       // eager path uses; phase 1 already validated every key id.
-      uint64_t kid = col.enc()[ordered[b]].key_id;
+      uint64_t kid = col.EncAt(ordered[b]).key_id;
       if (codec == nullptr || kid != codec_key) {
         codec = &hom_codecs.find(kid)->second;
         codec_key = kid;

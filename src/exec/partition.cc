@@ -79,13 +79,20 @@ Status WriteFileBytes(const std::string& path, const std::string& bytes) {
 
 /// Reads a spill file back and deletes it (each partition is read once).
 Result<Table> ReadSpillSegment(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status::Internal(StrFormat("cannot open spill file %s",
                                       path.c_str()));
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  // One sized read of the whole file.
+  std::streamoff size = in.tellg();
+  std::string bytes(size > 0 ? static_cast<size_t>(size) : 0, '\0');
+  in.seekg(0);
+  if (size < 0 ||
+      !in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()))) {
+    return Status::Internal(StrFormat("short read of spill file %s",
+                                      path.c_str()));
+  }
   in.close();
   std::error_code ec;
   std::filesystem::remove(path, ec);  // best effort

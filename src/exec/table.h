@@ -21,7 +21,7 @@
 
 namespace mpq {
 
-/// A column of an executing relation. `encrypted` columns carry EncValue
+/// A column of an executing relation. `encrypted` columns carry ciphertext
 /// cells under (`scheme`, `key_id`); `type` is always the plaintext type.
 struct ExecColumn {
   AttrId attr = kInvalidAttr;
@@ -147,20 +147,13 @@ class Table {
   /// Total payload bytes (used for transfer accounting).
   uint64_t ByteSize() const;
 
-  /// Column-at-a-time wire format of the whole table (schema + data), the
-  /// unit a fragment result crosses the simulated network as.
-  std::string SerializeColumns() const;
-
-  /// Inverse of SerializeColumns.
-  static Result<Table> DeserializeColumns(const std::string& bytes);
-
   /// Pretty-prints up to `max_rows` rows.
   std::string ToString(size_t max_rows = 20) const;
 
  private:
   // The segment codec (storage/segment.h) reconstructs degenerate
-  // zero-column frames the same way DeserializeColumns does: by setting the
-  // row count directly, since no column carries it.
+  // zero-column frames by setting the row count directly, since no column
+  // carries it.
   friend class SegmentReader;
   friend class SegmentedTable;
 

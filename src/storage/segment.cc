@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 
 #include "common/flat_hash.h"
 #include "exec/column.h"
@@ -11,15 +13,17 @@ namespace mpq {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'P', 'Q', 'S'};
-constexpr uint8_t kVersion = 1;
+// v2: bulk pages (word-at-a-time bit packing and checksum) and ciphertext
+// pages without per-cell metadata.
+constexpr uint8_t kVersion = 2;
 /// Header: magic + version + u64 rows + u32 cols.
 constexpr size_t kHeaderSize = 4 + 1 + 8 + 4;
 /// Trailer: u64 footer offset + u64 checksum.
 constexpr size_t kTrailerSize = 16;
 /// Row-count sanity cap: a claimed count past this is corrupt, rejected
-/// before any row-count-sized allocation (compressed pages legitimately
-/// cost far less than a byte per row, so the wire format's
-/// rows-vs-buffer-size bound does not apply here).
+/// before any row-count-sized allocation. (Compressed pages can cost far
+/// less than a byte per row, so the frame size does not bound the count;
+/// each page checks its own row-proportional bytes before allocating.)
 constexpr uint64_t kMaxSegmentRows = 1ull << 31;
 
 // Int64 page kinds.
@@ -30,6 +34,10 @@ constexpr uint8_t kPageFor = 2;  // frame-of-reference bit-packing
 // String page encodings.
 constexpr uint8_t kStringPlain = 0;
 constexpr uint8_t kStringDict = 1;
+
+/// Ciphertext page width marker: blob lengths differ, a length per row
+/// follows.
+constexpr uint32_t kVarWidth = 0xffffffffu;
 
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -43,7 +51,7 @@ void PutU64(std::string* out, uint64_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void PutBytes(std::string* out, const std::string& s) {
+void PutBytes(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
 }
@@ -61,21 +69,33 @@ struct Reader {
   size_t size;
   size_t pos = 0;
 
-  bool Take(void* dst, size_t n) {
-    if (n > size - pos) return false;  // pos <= size always holds
-    if (n == 0) return true;  // dst may be an empty vector's null data()
-    std::memcpy(dst, data + pos, n);
+  size_t left() const { return size - pos; }  // pos <= size always holds
+  /// Claims `n` bytes in place; null when fewer remain.
+  const char* Skip(uint64_t n) {
+    if (n > left()) return nullptr;
     pos += n;
-    return true;
+    return data + pos - n;
+  }
+  bool Take(void* dst, size_t n) {
+    const char* at = Skip(n);
+    if (at != nullptr && n > 0) std::memcpy(dst, at, n);
+    return at != nullptr;
   }
   bool U8(uint8_t* v) { return Take(v, 1); }
   bool U32(uint32_t* v) { return Take(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Take(v, sizeof(*v)); }
-  bool Bytes(std::string* s) {
+  bool View(std::string_view* s) {
     uint32_t n;
-    if (!U32(&n) || n > size - pos) return false;
-    s->assign(data + pos, n);
-    pos += n;
+    if (!U32(&n)) return false;
+    const char* at = Skip(n);
+    if (at == nullptr) return false;
+    *s = std::string_view(at, n);
+    return true;
+  }
+  bool Bytes(std::string* s) {
+    std::string_view v;
+    if (!View(&v)) return false;
+    s->assign(v);
     return true;
   }
   bool Enc(EncValue* ev) {
@@ -95,44 +115,107 @@ Status Corrupt() {
   return Status::InvalidArgument("corrupt segment");
 }
 
-/// LSB-first bit packing: value i occupies stream bits
-/// [i*width, (i+1)*width); stream bit b lives in byte b/8, bit b%8.
-void PackBits(const uint64_t* vals, size_t n, uint8_t width,
-              std::string* out) {
-  if (width == 0) return;
-  size_t nbytes = (n * width + 7) / 8;
-  size_t start = out->size();
-  out->append(nbytes, '\0');
-  auto* bytes = reinterpret_cast<uint8_t*>(&(*out)[start]);
-  size_t bit = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t v = width == 64 ? vals[i] : (vals[i] & ((1ull << width) - 1));
-    size_t b = bit;
-    while (v != 0 || b < bit + width) {
-      if (b >= bit + width) break;
-      bytes[b / 8] |= static_cast<uint8_t>((v & 1u) << (b % 8));
-      v >>= 1;
-      ++b;
+}  // namespace
+
+/// Frame checksum, a 64-bit word at a time over four interleaved lanes:
+/// word k (the 0-7 byte tail zero-padded into one last word) is xored into
+/// lane k % 4 and mixed by an odd multiply and a xorshift, then the lanes
+/// fold together with the length. Every step is a bijection of its lane
+/// given the others, so frames differing in one word always differ in
+/// checksum.
+uint64_t SegmentChecksum(const char* p, size_t n) {
+  uint64_t lane[4] = {0x9e3779b97f4a7c15ull, 0xbf58476d1ce4e5b9ull,
+                      0x94d049bb133111ebull, 0xff51afd7ed558ccdull};
+  auto step = [](uint64_t h, uint64_t w) {
+    h = (h ^ w) * 0xff51afd7ed558ccdull;
+    return h ^ (h >> 32);
+  };
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (int l = 0; l < 4; ++l) {
+      uint64_t w;
+      std::memcpy(&w, p + i + 8 * l, 8);
+      lane[l] = step(lane[l], w);
     }
-    bit += width;
   }
+  int l = 0;
+  for (; i + 8 <= n; i += 8, ++l) {
+    uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    lane[l] = step(lane[l], w);
+  }
+  if (i < n) {
+    uint64_t w = 0;
+    std::memcpy(&w, p + i, n - i);
+    lane[l] = step(lane[l], w);
+  }
+  uint64_t h = n;
+  for (uint64_t l : lane) h = step(h, l);
+  return HashMix64(h);
 }
 
-/// Inverse of PackBits over `n` values; the caller has bounds-checked that
-/// `nbytes` bytes are available.
-void UnpackBits(const uint8_t* bytes, size_t n, uint8_t width,
+namespace {
+
+size_t PackedBytes(uint64_t n, uint8_t width) { return (n * width + 7) / 8; }
+
+/// LSB-first bit packing of `vals[i] - base`: value i occupies stream bits
+/// [i*width, (i+1)*width); stream bit b lives in byte b/8, bit b%8. Whole
+/// little-endian words are flushed as they fill.
+template <typename T>
+void PackBits(const T* vals, size_t n, uint8_t width, uint64_t base,
+              std::string* out) {
+  if (width == 0) return;
+  size_t start = out->size();
+  out->resize(start + PackedBytes(n, width));
+  char* dst = &(*out)[start];
+  uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+  uint64_t acc = 0;
+  unsigned filled = 0;  // bits of acc in use, < 64
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t v = (static_cast<uint64_t>(vals[i]) - base) & mask;
+    acc |= v << filled;
+    if (filled + width >= 64) {
+      std::memcpy(dst, &acc, 8);
+      dst += 8;
+      acc = filled == 0 ? 0 : v >> (64 - filled);
+      filled = filled + width - 64;
+    } else {
+      filled += width;
+    }
+  }
+  std::memcpy(dst, &acc, (filled + 7) / 8);
+}
+
+/// Inverse of PackBits: out[i] = base + value i, for `n` values of the
+/// PackedBytes(n, width) bytes at `bytes` (bounds-checked by the caller).
+/// Each value is one unaligned word load, shifted and masked; only values
+/// straddling the stream's last word take the byte-wise tail load.
+void UnpackBits(const char* bytes, size_t n, uint8_t width, uint64_t base,
                 uint64_t* out) {
   if (width == 0) {
-    std::fill(out, out + n, 0);
+    std::fill(out, out + n, base);
     return;
   }
-  size_t bit = 0;
+  size_t nbytes = PackedBytes(n, width);
+  uint64_t mask = width == 64 ? ~0ull : (1ull << width) - 1;
+  auto load = [&](size_t at) {
+    uint64_t w = 0;
+    std::memcpy(&w, bytes + at, std::min<size_t>(8, nbytes - at));
+    return w;
+  };
   for (size_t i = 0; i < n; ++i) {
-    uint64_t v = 0;
-    for (uint8_t k = 0; k < width; ++k, ++bit) {
-      v |= static_cast<uint64_t>((bytes[bit / 8] >> (bit % 8)) & 1u) << k;
+    uint64_t bit = static_cast<uint64_t>(i) * width;
+    size_t at = bit / 8;
+    unsigned shift = bit % 8;
+    uint64_t w;
+    if (at + 8 <= nbytes) {
+      std::memcpy(&w, bytes + at, 8);
+    } else {
+      w = load(at);
     }
-    out[i] = v;
+    w >>= shift;
+    if (shift + width > 64) w |= load(at + 8) << (64 - shift);
+    out[i] = base + (w & mask);
   }
 }
 
@@ -152,22 +235,19 @@ void EncodeInt64Page(const std::vector<int64_t>& v, std::string* out) {
   size_t n = v.size();
   uint64_t raw_cost = 1 + 8 * static_cast<uint64_t>(n);
 
-  size_t runs = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (i == 0 || v[i] != v[i - 1]) ++runs;
+  size_t runs = n > 0 ? 1 : 0;
+  int64_t mn = n > 0 ? v[0] : 0, mx = mn;
+  for (size_t i = 1; i < n; ++i) {
+    runs += v[i] != v[i - 1] ? 1 : 0;
+    mn = std::min(mn, v[i]);
+    mx = std::max(mx, v[i]);
   }
   uint64_t rle_cost = 1 + 4 + 12 * static_cast<uint64_t>(runs);
 
-  int64_t mn = 0, mx = 0;
-  if (n > 0) {
-    mn = *std::min_element(v.begin(), v.end());
-    mx = *std::max_element(v.begin(), v.end());
-  }
   uint64_t max_delta =
       static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn);
   uint8_t bw = BitsFor(max_delta);
-  uint64_t for_cost =
-      1 + 8 + 1 + (static_cast<uint64_t>(n) * bw + 7) / 8;
+  uint64_t for_cost = 1 + 8 + 1 + PackedBytes(n, bw);
 
   if (n > 0 && rle_cost < raw_cost && rle_cost <= for_cost) {
     PutU8(out, kPageRle);
@@ -185,11 +265,7 @@ void EncodeInt64Page(const std::vector<int64_t>& v, std::string* out) {
     PutU8(out, kPageFor);
     PutU64(out, static_cast<uint64_t>(mn));
     PutU8(out, bw);
-    std::vector<uint64_t> deltas(n);
-    for (size_t i = 0; i < n; ++i) {
-      deltas[i] = static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(mn);
-    }
-    PackBits(deltas.data(), n, bw, out);
+    PackBits(v.data(), n, bw, static_cast<uint64_t>(mn), out);
     return;
   }
   PutU8(out, kPageRaw);
@@ -200,43 +276,39 @@ Status DecodeInt64Page(Reader* r, uint64_t num_rows,
                        std::vector<int64_t>* out) {
   uint8_t kind;
   if (!r->U8(&kind)) return Corrupt();
-  out->resize(num_rows);
   switch (kind) {
-    case kPageRaw:
-      if (!r->Take(out->data(), 8 * num_rows)) return Corrupt();
+    case kPageRaw: {
+      const char* raw = r->Skip(8 * num_rows);
+      if (raw == nullptr) return Corrupt();
+      out->resize(num_rows);
+      if (num_rows > 0) std::memcpy(out->data(), raw, 8 * num_rows);
       return Status::OK();
+    }
     case kPageRle: {
+      // Grows with the runs actually present, never with the claimed count.
       uint32_t runs;
-      if (!r->U32(&runs)) return Corrupt();
-      uint64_t i = 0;
+      if (!r->U32(&runs) || runs > num_rows) return Corrupt();
       for (uint32_t k = 0; k < runs; ++k) {
         uint64_t value;
         uint32_t count;
         if (!r->U64(&value) || !r->U32(&count) || count == 0 ||
-            count > num_rows - i) {
+            count > num_rows - out->size()) {
           return Corrupt();
         }
-        std::fill(out->begin() + static_cast<long>(i),
-                  out->begin() + static_cast<long>(i + count),
-                  static_cast<int64_t>(value));
-        i += count;
+        out->insert(out->end(), count, static_cast<int64_t>(value));
       }
-      if (i != num_rows) return Corrupt();
-      return Status::OK();
+      return out->size() == num_rows ? Status::OK() : Corrupt();
     }
     case kPageFor: {
       uint64_t base;
       uint8_t bw;
       if (!r->U64(&base) || !r->U8(&bw) || bw > 64) return Corrupt();
-      size_t nbytes = (num_rows * bw + 7) / 8;
-      if (nbytes > r->size - r->pos) return Corrupt();
-      std::vector<uint64_t> deltas(num_rows);
-      UnpackBits(reinterpret_cast<const uint8_t*>(r->data + r->pos),
-                 num_rows, bw, deltas.data());
-      r->pos += nbytes;
-      for (uint64_t i = 0; i < num_rows; ++i) {
-        (*out)[i] = static_cast<int64_t>(base + deltas[i]);
-      }
+      const char* packed = r->Skip(PackedBytes(num_rows, bw));
+      if (packed == nullptr) return Corrupt();
+      out->resize(num_rows);
+      // int64_t and uint64_t may alias: unpack straight into the vector.
+      UnpackBits(packed, num_rows, bw, base,
+                 reinterpret_cast<uint64_t*>(out->data()));
       return Status::OK();
     }
     default:
@@ -245,8 +317,8 @@ Status DecodeInt64Page(Reader* r, uint64_t num_rows,
 }
 
 /// String page: dictionary + bit-packed codes when strictly smaller than
-/// the plain length-prefixed payload (deterministic, like the wire format's
-/// dictionary decision).
+/// the plain length-prefixed payload (a deterministic function of the
+/// column content).
 Status EncodeStringPage(const ColumnData& d, std::string* out) {
   size_t n = d.size();
   ColumnDict dict(&d);
@@ -257,7 +329,7 @@ Status EncodeStringPage(const ColumnData& d, std::string* out) {
   for (const std::string& s : d.str()) plain_cost += 4 + s.size();
   uint8_t code_bits =
       dict.size() == 0 ? 0 : BitsFor(static_cast<uint64_t>(dict.size() - 1));
-  uint64_t dict_cost = 4 + 1 + (static_cast<uint64_t>(n) * code_bits + 7) / 8;
+  uint64_t dict_cost = 4 + 1 + PackedBytes(n, code_bits);
   for (uint32_t k = 0; k < dict.size(); ++k) {
     dict_cost += 4 + d.str()[dict.RepRow(k)].size();
   }
@@ -269,13 +341,134 @@ Status EncodeStringPage(const ColumnData& d, std::string* out) {
       PutBytes(out, d.str()[dict.RepRow(k)]);
     }
     PutU8(out, code_bits);
-    std::vector<uint64_t> wide(codes.begin(), codes.end());
-    PackBits(wide.data(), n, code_bits, out);
+    PackBits(codes.data(), n, code_bits, 0, out);
   } else {
     PutU8(out, kStringPlain);
     for (const std::string& s : d.str()) PutBytes(out, s);
   }
   return Status::OK();
+}
+
+Status DecodeStringPage(Reader* r, uint64_t num_rows,
+                        const std::vector<uint8_t>& nulls,
+                        std::vector<std::string>* out) {
+  uint8_t encoding;
+  if (!r->U8(&encoding)) return Corrupt();
+  if (encoding == kStringPlain) {
+    if (num_rows > r->left() / 4) return Corrupt();  // >= 4 bytes per row
+    out->resize(num_rows);
+    for (uint64_t i = 0; i < num_rows; ++i) {
+      if (!r->Bytes(&(*out)[i])) return Corrupt();
+    }
+    return Status::OK();
+  }
+  if (encoding != kStringDict) return Corrupt();
+  uint32_t num_values;
+  if (!r->U32(&num_values) || num_values > r->left() / 4) return Corrupt();
+  std::vector<std::string_view> values(num_values);
+  for (uint32_t k = 0; k < num_values; ++k) {
+    if (!r->View(&values[k])) return Corrupt();
+  }
+  uint8_t code_bits;
+  if (!r->U8(&code_bits) || code_bits > 32) return Corrupt();
+  const char* packed = r->Skip(PackedBytes(num_rows, code_bits));
+  if (packed == nullptr) return Corrupt();
+  std::vector<uint64_t> codes(num_rows);
+  UnpackBits(packed, num_rows, code_bits, 0, codes.data());
+  out->resize(num_rows);
+  for (uint64_t i = 0; i < num_rows; ++i) {
+    if (!nulls.empty() && nulls[i] != 0) continue;  // a null's code is padding
+    if (codes[i] >= num_values) return Corrupt();
+    (*out)[i].assign(values[codes[i]]);
+  }
+  return Status::OK();
+}
+
+/// Ciphertext page: the column's scheme and key once, then its blobs back
+/// to back — preceded by one length per row only when the non-NULL blobs
+/// differ in length — then the aux counters when some non-NULL row's is
+/// not 1. NULL rows contribute no blob bytes.
+void EncodeEncPage(const ColumnData& d, std::string* out) {
+  size_t n = d.size();
+  const std::vector<uint32_t>& ends = d.enc_ends();
+  bool any_row = false;
+  bool fixed = true;
+  bool aux = false;
+  uint32_t width = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (d.IsNull(i)) continue;
+    auto len = static_cast<uint32_t>(d.EncBlob(i).size());
+    if (!any_row) width = len;
+    fixed = fixed && len == width;
+    aux = aux || (!d.enc_aux().empty() && d.enc_aux()[i] != 1);
+    any_row = true;
+  }
+  // A column with no ciphertext row has no meaningful (scheme, key).
+  PutU8(out, any_row ? static_cast<uint8_t>(d.enc_scheme()) : 0);
+  PutU64(out, any_row ? d.enc_key_id() : 0);
+  PutU32(out, fixed ? width : kVarWidth);
+  if (!fixed) {
+    for (size_t i = 0; i < n; ++i) {
+      PutU32(out, ends[i] - (i == 0 ? 0 : ends[i - 1]));
+    }
+  }
+  out->append(d.enc_arena());
+  PutU8(out, aux ? 1 : 0);
+  if (aux) {
+    for (size_t i = 0; i < n; ++i) {
+      PutU64(out, static_cast<uint64_t>(d.IsNull(i) ? 1 : d.enc_aux()[i]));
+    }
+  }
+}
+
+Result<ColumnData> DecodeEncPage(Reader* r, uint64_t num_rows,
+                                 std::vector<uint8_t> nulls) {
+  uint8_t scheme;
+  uint64_t key_id;
+  uint32_t width;
+  if (!r->U8(&scheme) || scheme > static_cast<uint8_t>(EncScheme::kPaillier) ||
+      !r->U64(&key_id) || !r->U32(&width)) {
+    return Corrupt();
+  }
+  auto is_null = [&](uint64_t i) { return !nulls.empty() && nulls[i] != 0; };
+  std::vector<uint32_t> ends;
+  uint64_t total = 0;
+  if (width == kVarWidth) {
+    const char* lens = r->Skip(4 * num_rows);
+    if (lens == nullptr) return Corrupt();
+    ends.resize(num_rows);
+    for (uint64_t i = 0; i < num_rows; ++i) {
+      uint32_t len;
+      std::memcpy(&len, lens + 4 * i, 4);
+      if (is_null(i) && len != 0) return Corrupt();
+      total += len;
+      if (total > r->left()) return Corrupt();
+      ends[i] = static_cast<uint32_t>(total);
+    }
+  } else {
+    uint64_t rows_with_blobs = num_rows;
+    for (uint8_t b : nulls) rows_with_blobs -= b != 0 ? 1 : 0;
+    if (width != 0 && rows_with_blobs > r->left() / width) return Corrupt();
+    ends.resize(num_rows);
+    for (uint64_t i = 0; i < num_rows; ++i) {
+      if (!is_null(i)) total += width;
+      ends[i] = static_cast<uint32_t>(total);
+    }
+  }
+  const char* blobs = r->Skip(total);
+  if (blobs == nullptr || total > 0xffffffffull) return Corrupt();
+  uint8_t has_aux;
+  if (!r->U8(&has_aux) || has_aux > 1) return Corrupt();
+  std::vector<int64_t> aux;
+  if (has_aux != 0) {
+    const char* at = r->Skip(8 * num_rows);
+    if (at == nullptr) return Corrupt();
+    aux.resize(num_rows);
+    if (num_rows > 0) std::memcpy(aux.data(), at, 8 * num_rows);
+  }
+  return ColumnData::FromEnc(static_cast<EncScheme>(scheme), key_id,
+                             std::string(blobs, total), std::move(ends),
+                             std::move(aux), std::move(nulls));
 }
 
 /// Null mask bit-packing (1 = NULL), (rows + 7) / 8 bytes.
@@ -285,12 +478,42 @@ void EncodeNullMask(const ColumnData& d, std::string* out) {
   out->append((n + 7) / 8, '\0');
   auto* bytes = reinterpret_cast<uint8_t*>(&(*out)[start]);
   for (size_t i = 0; i < n; ++i) {
-    if (d.IsNull(i)) bytes[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+    bytes[i / 8] |= static_cast<uint8_t>((d.IsNull(i) ? 1u : 0u) << (i % 8));
   }
 }
 
 bool CellIsNull(const Cell& c) {
   return c.is_plain() && c.plain().is_null();
+}
+
+/// Sets `z`'s range to the first-occurrence min and max over the non-null
+/// rows of `vals` (some row is non-null): numbers tracked by value, strings
+/// by row.
+template <typename T>
+void SetRange(const ColumnData& d, const std::vector<T>& vals,
+              SegmentZone* z) {
+  size_t lo = 0;
+  while (d.IsNull(lo)) ++lo;
+  size_t hi = lo;
+  if constexpr (std::is_arithmetic_v<T>) {
+    T mn = vals[lo], mx = vals[lo];
+    for (size_t i = lo + 1; i < vals.size(); ++i) {
+      if (d.IsNull(i)) continue;
+      mn = vals[i] < mn ? vals[i] : mn;
+      mx = mx < vals[i] ? vals[i] : mx;
+    }
+    z->min = Value(mn);
+    z->max = Value(mx);
+  } else {
+    for (size_t i = lo + 1; i < vals.size(); ++i) {
+      if (d.IsNull(i)) continue;
+      lo = vals[i] < vals[lo] ? i : lo;
+      hi = vals[hi] < vals[i] ? i : hi;
+    }
+    z->min = Value(vals[lo]);
+    z->max = Value(vals[hi]);
+  }
+  z->has_range = true;
 }
 
 /// Footer statistics for one column: null count always; min/max only over
@@ -305,65 +528,38 @@ SegmentZone ComputeZone(const ExecColumn& col, const ColumnData& d) {
     }
     return z;
   }
-  for (size_t i = 0; i < d.size(); ++i) {
-    if (d.IsNull(i)) ++z.null_count;
-  }
+  const std::vector<uint8_t>& mask = d.null_mask();
+  z.null_count = mask.empty() ? 0
+                              : d.size() - static_cast<uint64_t>(std::count(
+                                               mask.begin(), mask.end(), 0));
   if (col.encrypted || z.null_count == d.size()) return z;
   switch (d.rep()) {
-    case ColumnRep::kInt64: {
-      int64_t mn = 0, mx = 0;
-      bool first = true;
+    case ColumnRep::kInt64:
+      SetRange(d, d.i64(), &z);
+      break;
+    case ColumnRep::kDouble:
       for (size_t i = 0; i < d.size(); ++i) {
-        if (d.IsNull(i)) continue;
-        int64_t v = d.i64()[i];
-        if (first || v < mn) mn = v;
-        if (first || v > mx) mx = v;
-        first = false;
-      }
-      z.min = Value(mn);
-      z.max = Value(mx);
-      z.has_range = true;
-      return z;
-    }
-    case ColumnRep::kDouble: {
-      double mn = 0, mx = 0;
-      bool first = true;
-      for (size_t i = 0; i < d.size(); ++i) {
-        if (d.IsNull(i)) continue;
         double v = d.f64()[i];
-        if (v != v) return z;  // NaN: no usable range
-        if (first || v < mn) mn = v;
-        if (first || v > mx) mx = v;
-        first = false;
+        if (!d.IsNull(i) && v != v) return z;  // NaN: no usable range
       }
-      z.min = Value(mn);
-      z.max = Value(mx);
-      z.has_range = true;
-      return z;
-    }
-    case ColumnRep::kString: {
-      const std::string* mn = nullptr;
-      const std::string* mx = nullptr;
-      for (size_t i = 0; i < d.size(); ++i) {
-        if (d.IsNull(i)) continue;
-        const std::string& v = d.str()[i];
-        if (mn == nullptr || v < *mn) mn = &v;
-        if (mx == nullptr || v > *mx) mx = &v;
-      }
-      z.min = Value(*mn);
-      z.max = Value(*mx);
-      z.has_range = true;
-      return z;
-    }
+      SetRange(d, d.f64(), &z);
+      break;
+    case ColumnRep::kString:
+      SetRange(d, d.str(), &z);
+      break;
     default:
-      return z;
+      break;
   }
+  return z;
 }
 
 }  // namespace
 
 Result<std::string> EncodeSegment(const Table& t) {
   std::string out;
+  // Pages rarely outgrow the payload accounting; reserving it up front
+  // spares the frame its growth copies.
+  out.reserve(t.ByteSize() + 128 * (t.num_columns() + 1));
   out.append(kMagic, sizeof(kMagic));
   PutU8(&out, kVersion);
   PutU64(&out, t.num_rows());
@@ -395,7 +591,7 @@ Result<std::string> EncodeSegment(const Table& t) {
         MPQ_RETURN_NOT_OK(EncodeStringPage(d, &out));
         break;
       case ColumnRep::kEnc:
-        for (const EncValue& ev : d.enc()) PutEnc(&out, ev);
+        EncodeEncPage(d, &out);
         break;
       case ColumnRep::kCell:
         for (const Cell& cell : d.cells()) {
@@ -436,7 +632,7 @@ Result<std::string> EncodeSegment(const Table& t) {
     }
   }
   PutU64(&out, footer_offset);
-  PutU64(&out, HashBytes(out.data(), out.size()));
+  PutU64(&out, SegmentChecksum(out.data(), out.size()));
   return out;
 }
 
@@ -473,7 +669,7 @@ Result<SegmentReader> SegmentReader::Open(std::string bytes) {
 
   uint64_t stored_sum;
   std::memcpy(&stored_sum, b.data() + b.size() - 8, 8);
-  if (HashBytes(b.data(), b.size() - 8) != stored_sum) return Corrupt();
+  if (SegmentChecksum(b.data(), b.size() - 8) != stored_sum) return Corrupt();
 
   Reader r{b.data(), b.size() - kTrailerSize};
   char magic[4];
@@ -547,96 +743,45 @@ Result<Table> SegmentReader::Decode() const {
     Reader r{bytes_.data() + e.page_offset, static_cast<size_t>(e.page_len)};
     std::vector<uint8_t> nulls;
     if (e.has_nulls) {
-      size_t nbytes = (num_rows + 7) / 8;
-      if (nbytes > r.size - r.pos) return Corrupt();
+      const char* mask = r.Skip((num_rows + 7) / 8);
+      if (mask == nullptr) return Corrupt();
+      const auto* mb = reinterpret_cast<const uint8_t*>(mask);
       nulls.resize(num_rows);
-      const auto* mb = reinterpret_cast<const uint8_t*>(r.data + r.pos);
       for (uint64_t i = 0; i < num_rows; ++i) {
         nulls[i] = (mb[i / 8] >> (i % 8)) & 1u;
       }
-      r.pos += nbytes;
     }
-    auto row_null = [&](uint64_t i) { return e.has_nulls && nulls[i] != 0; };
-    ColumnData d(static_cast<ColumnRep>(e.rep));
-    d.Reserve(num_rows);
+    ColumnData d;
     switch (static_cast<ColumnRep>(e.rep)) {
       case ColumnRep::kInt64: {
         std::vector<int64_t> vals;
         MPQ_RETURN_NOT_OK(DecodeInt64Page(&r, num_rows, &vals));
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          if (row_null(i)) {
-            d.AppendNull();
-          } else {
-            d.AppendValue(Value(vals[i]));
-          }
-        }
+        d = ColumnData::FromVector(std::move(vals), std::move(nulls));
         break;
       }
-      case ColumnRep::kDouble:
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          double v;
-          if (!r.Take(&v, sizeof(v))) return Corrupt();
-          if (row_null(i)) {
-            d.AppendNull();
-          } else {
-            d.AppendValue(Value(v));
-          }
-        }
+      case ColumnRep::kDouble: {
+        const char* raw = r.Skip(8 * num_rows);
+        if (raw == nullptr) return Corrupt();
+        std::vector<double> vals(num_rows);
+        if (num_rows > 0) std::memcpy(vals.data(), raw, 8 * num_rows);
+        d = ColumnData::FromVector(std::move(vals), std::move(nulls));
         break;
+      }
       case ColumnRep::kString: {
-        uint8_t encoding;
-        if (!r.U8(&encoding)) return Corrupt();
-        if (encoding == kStringDict) {
-          uint32_t num_values;
-          if (!r.U32(&num_values) || num_values > e.page_len) return Corrupt();
-          std::vector<std::string> values(num_values);
-          for (uint32_t k = 0; k < num_values; ++k) {
-            if (!r.Bytes(&values[k])) return Corrupt();
-          }
-          uint8_t code_bits;
-          if (!r.U8(&code_bits) || code_bits > 32) return Corrupt();
-          size_t nbytes = (num_rows * code_bits + 7) / 8;
-          if (nbytes > r.size - r.pos) return Corrupt();
-          std::vector<uint64_t> codes(num_rows);
-          UnpackBits(reinterpret_cast<const uint8_t*>(r.data + r.pos),
-                     num_rows, code_bits, codes.data());
-          r.pos += nbytes;
-          for (uint64_t i = 0; i < num_rows; ++i) {
-            if (row_null(i)) {
-              d.AppendNull();  // a null row's code is padding
-            } else if (codes[i] >= num_values) {
-              return Corrupt();
-            } else {
-              d.AppendValue(Value(values[codes[i]]));
-            }
-          }
-        } else if (encoding == kStringPlain) {
-          for (uint64_t i = 0; i < num_rows; ++i) {
-            std::string s;
-            if (!r.Bytes(&s)) return Corrupt();
-            if (row_null(i)) {
-              d.AppendNull();
-            } else {
-              d.AppendValue(Value(std::move(s)));
-            }
-          }
-        } else {
-          return Corrupt();
-        }
+        std::vector<std::string> vals;
+        MPQ_RETURN_NOT_OK(DecodeStringPage(&r, num_rows, nulls, &vals));
+        d = ColumnData::FromVector(std::move(vals), std::move(nulls));
         break;
       }
-      case ColumnRep::kEnc:
-        for (uint64_t i = 0; i < num_rows; ++i) {
-          EncValue ev;
-          if (!r.Enc(&ev)) return Corrupt();
-          if (row_null(i)) {
-            d.AppendNull();
-          } else {
-            d.Append(Cell(std::move(ev)));
-          }
-        }
+      case ColumnRep::kEnc: {
+        MPQ_ASSIGN_OR_RETURN(d, DecodeEncPage(&r, num_rows, std::move(nulls)));
         break;
+      }
       case ColumnRep::kCell:
+        // At least 5 bytes per cell (a tag and a length).
+        if (num_rows > r.left() / 5) return Corrupt();
+        d = ColumnData(ColumnRep::kCell);
+        d.Reserve(num_rows);
         for (uint64_t i = 0; i < num_rows; ++i) {
           uint8_t is_enc;
           if (!r.U8(&is_enc)) return Corrupt();

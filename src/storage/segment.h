@@ -1,19 +1,22 @@
-// Immutable compressed column segments: a versioned, Parquet-style at-rest
-// format layered over the same column model as the wire format. One segment
-// holds a row range of one table; every column gets a compressed page
-// (RLE / frame-of-reference bit-packing for int64, dictionary + bit-packed
-// codes for strings, raw pages for doubles and ciphertext blobs) plus a
-// footer entry carrying its metadata, page extent, null count, and a
-// min/max zone map over the non-null plaintext values. The footer is
-// readable without touching any page, so scans consult zone maps first and
-// skip whole segments that provably contain no qualifying row; a trailing
-// checksum rejects torn or bit-flipped segments before any decode.
+// Immutable compressed column segments, the engine's one columnar serde.
+// One segment holds a row range of one table; every column gets a page
+// written and read in bulk — RLE or frame-of-reference bit-packing for
+// int64, raw doubles, dictionary + bit-packed codes for repetitive strings,
+// and for ciphertext columns the blob arena with the column's scheme and
+// key stated once (plus per-row lengths only when widths differ and aux
+// counters only when some differ from 1) — plus a footer entry carrying
+// its metadata, page extent, null count, and a min/max zone map over the
+// non-null plaintext values. The footer is readable without touching any
+// page, so scans consult zone maps first and skip whole segments that
+// provably contain no qualifying row; a trailing checksum rejects torn or
+// bit-flipped frames before any decode, and every page parser bounds-checks
+// what it reads, so even a frame with a valid checksum decodes to a table
+// or a Status, never a crash.
 //
-// Segments serve three roles: the spill format of the byte-budgeted
-// out-of-core join/group-by paths, the compressed wire encoding of
-// assignee-crossing transfers (bytes-on-wire reflect compressed sizes), and
-// the at-rest form of cold TableStore relations (decoded lazily on first
-// read).
+// Segments serve three roles: the wire encoding of every assignee-crossing
+// transfer (bytes-on-wire are encoded sizes), the spill format of the
+// byte-budgeted out-of-core join/group-by paths, and the at-rest form of
+// cold TableStore relations (decoded lazily on first read).
 
 #ifndef MPQ_STORAGE_SEGMENT_H_
 #define MPQ_STORAGE_SEGMENT_H_
@@ -50,6 +53,11 @@ struct SegmentZone {
 /// counts) are identical at any thread count.
 Result<std::string> EncodeSegment(const Table& t);
 
+/// The checksum a frame's last 8 bytes hold, over the `n` bytes before
+/// them. Exposed so fuzzers can re-stamp edited frames and reach the page
+/// and footer parsers behind the checksum.
+uint64_t SegmentChecksum(const char* data, size_t n);
+
 /// Conservative zone-map test: false only when NO row of the segment can
 /// satisfy `op` against the constant `v` under the engine's comparison
 /// semantics (EvalCmp: NULLs sort first, numerics compare as double,
@@ -79,8 +87,8 @@ class SegmentReader {
   size_t encoded_size() const { return bytes_.size(); }
 
   /// Decodes every column page into a table. The result round-trips: for a
-  /// table built through the normal append paths,
-  /// Decode(EncodeSegment(t)) serializes bit-identically to t.
+  /// table built through the normal append paths, Decode(EncodeSegment(t))
+  /// has t's metadata, reps, null masks and cells bit for bit.
   Result<Table> Decode() const;
 
  private:

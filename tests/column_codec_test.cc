@@ -26,19 +26,21 @@ ColumnData EncryptColumn(const ColumnCodec& codec,
   cells.reserve(values.size());
   for (int64_t v : values) cells.emplace_back(Value(v));
   ColumnData plain = ColumnFromCells(std::move(cells));
-  std::vector<EncValue> encs(plain.size());
+  ColumnData encs(ColumnRep::kEnc);
   EXPECT_TRUE(codec.EncryptSpan(plain, 0, plain.size(), EncScheme::kPaillier,
-                                nonce_base, encs.data())
+                                nonce_base, &encs)
                   .ok());
-  return ColumnFromEnc(std::move(encs));
+  return encs;
 }
 
 TEST(ColumnCodecTest, ZeroRowSpansAreNoOps) {
   KeyMaterial km = TestKey();
   ColumnCodec codec(km);
   ColumnData empty = ColumnFromCells({});
-  EXPECT_TRUE(codec.EncryptSpan(empty, 0, 0, EncScheme::kPaillier, 1, nullptr)
-                  .ok());
+  ColumnData none(ColumnRep::kEnc);
+  EXPECT_TRUE(
+      codec.EncryptSpan(empty, 0, 0, EncScheme::kPaillier, 1, &none).ok());
+  EXPECT_EQ(none.size(), 0u);
   EXPECT_TRUE(
       codec.DecryptSpan(empty, 0, 0, DataType::kInt64, false, nullptr).ok());
   Result<uint128> fold = codec.FoldRows(empty, nullptr, 0);
@@ -56,20 +58,20 @@ TEST(ColumnCodecTest, NullMaskSkipsDecryptionAndFastEncryptPath) {
   cells.emplace_back(Value::Null());
   cells.emplace_back(Value(int64_t{-3}));
   ColumnData plain = ColumnFromCells(std::move(cells));
-  std::vector<EncValue> encs(plain.size());
+  ColumnData enc_col(ColumnRep::kEnc);
   ASSERT_TRUE(codec.EncryptSpan(plain, 0, plain.size(),
-                                EncScheme::kDeterministic, 5, encs.data())
+                                EncScheme::kDeterministic, 5, &enc_col)
                   .ok());
-  for (size_t i = 0; i < encs.size(); ++i) {
+  ASSERT_EQ(enc_col.rep(), ColumnRep::kEnc);
+  for (size_t i = 0; i < enc_col.size(); ++i) {
     Cell c = plain.GetCell(i);
     Result<EncValue> single =
         EncryptValue(c.plain(), EncScheme::kDeterministic, 4, km, 5 + i);
     ASSERT_TRUE(single.ok());
-    EXPECT_EQ(encs[i], *single) << "cell " << i;
+    EXPECT_EQ(enc_col.EncAt(i).ToValue(), *single) << "cell " << i;
   }
-  // DecryptSpan over a column whose null mask marks a row emits a plain
-  // NULL for it without touching the ciphertext machinery.
-  ColumnData enc_col = ColumnFromEnc(std::move(encs));
+  // DecryptSpan over the ciphertext column: the encrypted NULL decrypts
+  // back to a plain NULL.
   std::vector<Cell> out(enc_col.size());
   ASSERT_TRUE(codec.DecryptSpan(enc_col, 0, enc_col.size(), DataType::kInt64,
                                 false, out.data())
@@ -109,7 +111,7 @@ TEST(ColumnCodecTest, DecryptSpanDividesHomAverages) {
   ASSERT_TRUE(ev.ok());
   EncValue sum = *ev;
   sum.aux = 4;  // four values folded into the ciphertext
-  ColumnData col = ColumnFromEnc({sum});
+  ColumnData col = ColumnFromCells({Cell(sum)});
   std::vector<Cell> out(1);
   ASSERT_TRUE(
       codec.DecryptSpan(col, 0, 1, DataType::kInt64, true, out.data()).ok());
@@ -165,9 +167,9 @@ TEST(ColumnCodecTest, FoldOnlyCodecAggregatesButRefusesKeyOperations) {
             42);
 
   ColumnData plain = ColumnFromCells({Cell(Value(int64_t{1}))});
-  std::vector<EncValue> encs(1);
-  Status enc_st = fold_only.EncryptSpan(plain, 0, 1, EncScheme::kPaillier, 1,
-                                        encs.data());
+  ColumnData encs(ColumnRep::kEnc);
+  Status enc_st =
+      fold_only.EncryptSpan(plain, 0, 1, EncScheme::kPaillier, 1, &encs);
   EXPECT_EQ(enc_st.code(), StatusCode::kNotFound);
   std::vector<Cell> out(col.size());
   Status dec_st =

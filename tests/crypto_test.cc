@@ -358,6 +358,27 @@ TEST(CryptoKat, DeterministicAndOpeCellFixedVectors) {
   EXPECT_EQ(Hex(ope.blob), "000000000000800000000000004dde6b");
 }
 
+TEST(CryptoKat, RandomizedAndMultiBlockCellFixedVectors) {
+  // KeyMaterial(seed=2024, key_id=7): RND cells (nonce prefix, then the
+  // masked plaintext) and a 29-byte plaintext spanning four keystream
+  // blocks, frozen so keystream changes cannot silently alter ciphertexts.
+  KeyMaterial km = MakeKeyMaterial(2024, 7);
+  const Value text(std::string("a longer plaintext, 29 bytes"));
+  EXPECT_EQ(Hex(EncryptValue(Value(int64_t{77}), EncScheme::kRandom, 7, km,
+                             12345)
+                    ->blob),
+            "3930000000000000ea565df2b58ff19fc5");
+  EXPECT_EQ(Hex(EncryptValue(text, EncScheme::kRandom, 7, km, 12345)->blob),
+            "3930000000000000f07a7d9edae196fab759350bbb226100749a6ef37abd51"
+            "058210536f49");
+  EXPECT_EQ(
+      Hex(EncryptValue(text, EncScheme::kDeterministic, 7, km, 0)->blob),
+      "8af00c5f058949f8bbc446add78313a04298e9df855e0b86108869808834ed365c99"
+      "23599a");
+  EXPECT_EQ(Hex(EncryptValue(Value(2.5), EncScheme::kRandom, 7, km, 99)->blob),
+            "6300000000000000fcda94992e097b07f6");
+}
+
 TEST(CryptoKat, CodecSpansEqualSingleCellOnContiguousColumns) {
   // ColumnCodec::EncryptSpan over a contiguous column must produce exactly
   // the ciphertexts of per-cell EncryptValue drawing nonce_base + i — the
@@ -373,19 +394,20 @@ TEST(CryptoKat, CodecSpansEqualSingleCellOnContiguousColumns) {
     cells.reserve(values.size());
     for (int64_t v : values) cells.emplace_back(Value(v));
     ColumnData column = ColumnFromCells(std::move(cells));
-    std::vector<EncValue> encs(column.size());
+    ColumnData enc_column(ColumnRep::kEnc);
     ASSERT_TRUE(codec.EncryptSpan(column, 0, column.size(), s, nonce_base,
-                                  encs.data())
+                                  &enc_column)
                     .ok())
         << EncSchemeName(s);
+    ASSERT_EQ(enc_column.rep(), ColumnRep::kEnc);
     for (size_t i = 0; i < values.size(); ++i) {
       Result<EncValue> single =
           EncryptValue(Value(values[i]), s, 3, km, nonce_base + i);
       ASSERT_TRUE(single.ok());
-      EXPECT_EQ(encs[i], *single) << EncSchemeName(s) << " cell " << i;
+      EXPECT_EQ(enc_column.EncAt(i).ToValue(), *single)
+          << EncSchemeName(s) << " cell " << i;
     }
     // And DecryptSpan inverts the whole contiguous ciphertext column.
-    ColumnData enc_column = ColumnFromEnc(std::move(encs));
     std::vector<Cell> roundtrip(enc_column.size());
     ASSERT_TRUE(codec.DecryptSpan(enc_column, 0, enc_column.size(),
                                   DataType::kInt64, false, roundtrip.data())
@@ -393,6 +415,41 @@ TEST(CryptoKat, CodecSpansEqualSingleCellOnContiguousColumns) {
     for (size_t i = 0; i < values.size(); ++i) {
       EXPECT_EQ(roundtrip[i].plain(), Value(values[i]))
           << EncSchemeName(s) << " cell " << i;
+    }
+  }
+}
+
+TEST(CryptoKat, ArenaEncryptionMatchesSingleCellOnEveryTypedRep) {
+  // The RND/DET arena path serializes typed rows itself; it must agree
+  // byte for byte with EncryptValue on doubles, strings and NULLs too, at
+  // any span split.
+  KeyMaterial km = MakeKeyMaterial(41, 6);
+  ColumnCodec codec(km);
+  std::vector<std::vector<Cell>> shapes(3);
+  for (int i = 0; i < 9; ++i) {
+    Cell null_cell(Value::Null());
+    shapes[0].push_back(i % 4 == 2 ? null_cell : Cell(Value(int64_t{i * 7})));
+    shapes[1].push_back(i % 4 == 1 ? null_cell : Cell(Value(i * 0.25 - 1)));
+    shapes[2].push_back(i % 4 == 3 ? null_cell
+                                   : Cell(Value(std::string(i, 'x'))));
+  }
+  for (std::vector<Cell>& shape : shapes) {
+    ColumnData column = ColumnFromCells(shape);
+    ASSERT_NE(column.rep(), ColumnRep::kCell);
+    for (EncScheme s : {EncScheme::kRandom, EncScheme::kDeterministic}) {
+      ColumnData enc_column(ColumnRep::kEnc);
+      ASSERT_TRUE(codec.EncryptSpan(column, 0, 4, s, 100, &enc_column).ok());
+      ASSERT_TRUE(
+          codec.EncryptSpan(column, 4, column.size(), s, 100, &enc_column)
+              .ok());
+      ASSERT_EQ(enc_column.size(), column.size());
+      for (size_t i = 0; i < column.size(); ++i) {
+        Result<EncValue> single =
+            EncryptValue(shape[i].plain(), s, 6, km, 100 + i);
+        ASSERT_TRUE(single.ok());
+        EXPECT_EQ(enc_column.EncAt(i).ToValue(), *single)
+            << EncSchemeName(s) << " cell " << i;
+      }
     }
   }
 }

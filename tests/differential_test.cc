@@ -17,6 +17,7 @@
 #include "obs/trace.h"
 #include "testing/random_plan.h"
 #include "testing/reference_exec.h"
+#include "table_fingerprint.h"
 
 namespace mpq {
 namespace {
@@ -114,7 +115,9 @@ TEST(DifferentialTest, ColumnarEngineMatchesRowOracleOnEveryScenario) {
           << "seed " << seed << ": columnar engine diverges from the "
           << "row-path oracle at "
           << (pool == nullptr ? 0 : pool->size()) << " threads";
-      Result<Table> wired = Table::DeserializeColumns(t->SerializeColumns());
+      Result<SegmentReader> frame = SegmentReader::Open(*EncodeSegment(*t));
+      ASSERT_TRUE(frame.ok()) << "seed " << seed;
+      Result<Table> wired = frame->Decode();
       ASSERT_TRUE(wired.ok()) << "seed " << seed;
       ASSERT_EQ(CanonicalRows(*wired), c->oracle_rows)
           << "seed " << seed << ": column serialization round-trip diverges";
@@ -132,7 +135,7 @@ TEST(DifferentialTest, ColumnarEngineMatchesRowOracleOnEveryScenario) {
         traced_ctx.trace = &trace;
         Result<Table> traced = ExecutePlan(c->sc.plan.get(), &traced_ctx);
         ASSERT_TRUE(traced.ok()) << "seed " << seed;
-        ASSERT_EQ(traced->SerializeColumns(), t->SerializeColumns())
+        ASSERT_EQ(Fingerprint(*traced), Fingerprint(*t))
             << "seed " << seed << ": traced run is not bit-identical";
         EXPECT_FALSE(trace.Spans().empty()) << "seed " << seed;
       }

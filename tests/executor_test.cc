@@ -9,6 +9,7 @@
 #include "assign/schemes.h"
 #include "exec/executor.h"
 #include "paper_example.h"
+#include "table_fingerprint.h"
 
 namespace mpq {
 namespace {
@@ -281,7 +282,7 @@ TEST_F(ExecutorTest, LazyHomFoldBitIdenticalToEagerCellPathAcrossThreads) {
         ASSERT_TRUE(t.ok()) << t.status().ToString();
         ASSERT_EQ(t->num_rows(), 4u);
         EXPECT_EQ(ctx_.spill_partitions.load() > spilled, budget != 0);
-        wires.push_back(t->SerializeColumns());
+        wires.push_back(Fingerprint(*t));
       }
     }
   }

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "testing/reference_exec.h"
+#include "table_fingerprint.h"
 
 namespace mpq {
 namespace {
@@ -219,11 +220,11 @@ class HashPathEngineTest : public ::testing::Test {
   void ExpectDeterministicAndOracleEqual(const PlanPtr& plan) {
     Result<Table> t1 = RunEngine(plan.get(), 0);
     ASSERT_TRUE(t1.ok()) << t1.status().ToString();
-    std::string wire1 = t1->SerializeColumns();
+    std::string wire1 = Fingerprint(*t1);
     for (size_t threads : {2u, 8u}) {
       Result<Table> tn = RunEngine(plan.get(), threads);
       ASSERT_TRUE(tn.ok()) << tn.status().ToString();
-      EXPECT_EQ(tn->SerializeColumns(), wire1)
+      EXPECT_EQ(Fingerprint(*tn), wire1)
           << "row order changed at " << threads << " threads";
     }
     ReferenceExecutor oracle(&catalog_);

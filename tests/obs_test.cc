@@ -34,6 +34,7 @@
 #include "testing/reference_exec.h"
 #include "tpch/dbgen.h"
 #include "tpch/scenarios.h"
+#include "table_fingerprint.h"
 
 namespace mpq {
 namespace {
@@ -466,8 +467,8 @@ TEST_F(ObsServiceTest, TracedRunsAreBitIdenticalToUntracedAtEveryThreadCount) {
     ASSERT_TRUE(tr.ok()) << tr.status().ToString();
     ASSERT_NE(tr->trace, nullptr);
 
-    std::string plain_wire = pr->table.SerializeColumns();
-    EXPECT_EQ(plain_wire, tr->table.SerializeColumns())
+    std::string plain_wire = Fingerprint(pr->table);
+    EXPECT_EQ(plain_wire, Fingerprint(tr->table))
         << "traced run differs from untraced at " << threads << " threads";
     if (reference_wire.empty()) {
       reference_wire = plain_wire;
@@ -735,8 +736,8 @@ TEST_F(ObsTpchTest, TracedRunsAreBitIdenticalToUntracedAtEveryThreadCount) {
     ASSERT_TRUE(tr.ok()) << tr.status().ToString();
     ASSERT_NE(tr->trace, nullptr);
 
-    std::string wire = pr->table.SerializeColumns();
-    EXPECT_EQ(wire, tr->table.SerializeColumns())
+    std::string wire = Fingerprint(pr->table);
+    EXPECT_EQ(wire, Fingerprint(tr->table))
         << "traced TPC-H run differs from untraced at " << threads
         << " threads";
     if (reference_wire.empty()) {
