@@ -89,7 +89,7 @@ class Cell {
 Result<EncValue> EncryptValue(const Value& v, EncScheme scheme, uint64_t key_id,
                               const KeyMaterial& keys, uint64_t fresh_nonce);
 
-/// Decrypts an EncValue; `type` guides numeric decoding. For Paillier cells
+/// Decrypts a ciphertext; `type` guides numeric decoding. For Paillier cells
 /// this returns the (decoded) homomorphic sum; callers divide by `aux` when
 /// the cell represents an average.
 Result<Value> DecryptValue(const EncView& ev, const KeyMaterial& keys,

@@ -52,8 +52,9 @@ ColumnRep RepForType(DataType type);
 /// whole column, fixed by its first ciphertext; the blobs back to back in
 /// one byte arena with a uint32 end offset per row (a NULL row's blob is
 /// empty; a column's blobs total under 4 GiB); and an `aux` counter per
-/// row only once some row's differs from 1 (homomorphic sums). A ciphertext under another scheme or key demotes
-/// the column to kCell, like any other mixed content.
+/// row only once some row's differs from 1 (homomorphic sums). A
+/// ciphertext under another scheme or key demotes the column to kCell,
+/// like any other mixed content.
 class ColumnData {
  public:
   ColumnData() = default;

@@ -349,10 +349,16 @@ Table EveryPageKindTable() {
       dict(ColumnRep::kString), plain(ColumnRep::kString),
       mix(ColumnRep::kCell);
   std::vector<ColumnData> encs;
-  std::vector<std::pair<EncScheme, bool>> enc_kinds = {
-      {EncScheme::kRandom, false},       {EncScheme::kDeterministic, false},
-      {EncScheme::kOpe, false},          {EncScheme::kPaillier, false},
-      {EncScheme::kRandom, true},        {EncScheme::kDeterministic, true}};
+  // (scheme, varying width): integers encrypt to fixed widths, strings
+  // of different lengths to varying ones.
+  const std::vector<std::pair<EncScheme, bool>> enc_kinds = {
+      {EncScheme::kRandom, false},
+      {EncScheme::kDeterministic, false},
+      {EncScheme::kOpe, false},
+      {EncScheme::kPaillier, false},
+      {EncScheme::kRandom, true},
+      {EncScheme::kDeterministic, true},
+  };
   for (size_t k = 0; k < enc_kinds.size(); ++k) {
     encs.emplace_back(ColumnRep::kEnc);
   }
@@ -363,7 +369,7 @@ Table EveryPageKindTable() {
       return r % period == period - 1 ? Cell(Value::Null()) : std::move(c);
     };
     raw.Append(null_or(9, I(static_cast<int64_t>(x))));
-    rle.Append(null_or(13, I(r / 40)));
+    rle.Append(null_or(13, I(r / 40 * 1000000007)));  // few long runs
     fr.Append(null_or(7, I(1000 + static_cast<int64_t>(x % 50))));
     dbl.Append(null_or(5, D(static_cast<double>(r) * 0.125 - 3)));
     dict.Append(null_or(11, S("mode-" + std::to_string(r % 3))));
