@@ -356,9 +356,11 @@ Status DecodeStringPage(Reader* r, uint64_t num_rows,
   if (!r->U8(&encoding)) return Corrupt();
   if (encoding == kStringPlain) {
     if (num_rows > r->left() / 4) return Corrupt();  // >= 4 bytes per row
-    out->resize(num_rows);
+    out->reserve(num_rows);
     for (uint64_t i = 0; i < num_rows; ++i) {
-      if (!r->Bytes(&(*out)[i])) return Corrupt();
+      std::string_view v;
+      if (!r->View(&v)) return Corrupt();
+      out->emplace_back(v);
     }
     return Status::OK();
   }
@@ -375,11 +377,11 @@ Status DecodeStringPage(Reader* r, uint64_t num_rows,
   if (packed == nullptr) return Corrupt();
   std::vector<uint64_t> codes(num_rows);
   UnpackBits(packed, num_rows, code_bits, 0, codes.data());
-  out->resize(num_rows);
+  out->reserve(num_rows);
   for (uint64_t i = 0; i < num_rows; ++i) {
-    if (!nulls.empty() && nulls[i] != 0) continue;  // a null's code is padding
-    if (codes[i] >= num_values) return Corrupt();
-    (*out)[i].assign(values[codes[i]]);
+    bool null = !nulls.empty() && nulls[i] != 0;  // its code is padding
+    if (!null && codes[i] >= num_values) return Corrupt();
+    out->emplace_back(null ? std::string_view() : values[codes[i]]);
   }
   return Status::OK();
 }
