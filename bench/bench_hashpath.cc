@@ -17,6 +17,15 @@
 // included — running slower than the row oracle (speedup_1t < 1). Both are
 // the CI gate.
 //
+// A column-crypto section times ColumnCodec's batched kernels against the
+// per-cell reference path (EncryptValue + AppendEnc, DecryptValue +
+// ColumnFromCells) on lineitem's int64, double and string columns under
+// RND, DET and OPE, in the same run so the ratio does not depend on host
+// speed. It fails the process unless the kernels' ciphertexts and
+// decrypted columns are byte-equal to the reference's and each scheme's
+// kernels (encrypt plus decrypt, best of reps) run at least 2x the
+// reference.
+//
 // Emits BENCH_hashpath.json (override with --json <path>). Compare the
 // hash_1t_ms column against the columnar_ms column of the committed PR 4
 // BENCH_columnar.json (same scale factor, same best-of-N methodology) for
@@ -35,6 +44,7 @@
 #include "bench_json.h"
 #include "common/flat_hash.h"
 #include "common/thread_pool.h"
+#include "crypto/column_codec.h"
 #include "crypto/keyring.h"
 #include "exec/executor.h"
 #include "obs/trace.h"
@@ -65,6 +75,33 @@ double BestOf(int reps, const std::function<double()>& run) {
   double best = 1e300;
   for (int i = 0; i < reps; ++i) best = std::min(best, run());
   return best;
+}
+
+/// Whether two columns hold the same bytes: rep, null mask and values
+/// (doubles bitwise; ciphertexts by scheme, key, arena, offsets and aux).
+bool SameColumn(const ColumnData& a, const ColumnData& b) {
+  if (a.rep() != b.rep() || a.size() != b.size() ||
+      a.null_mask() != b.null_mask()) {
+    return false;
+  }
+  switch (a.rep()) {
+    case ColumnRep::kInt64:
+      return a.i64() == b.i64();
+    case ColumnRep::kDouble:
+      return a.f64().empty() ||
+             std::memcmp(a.f64().data(), b.f64().data(),
+                         a.f64().size() * sizeof(double)) == 0;
+    case ColumnRep::kString:
+      return a.str() == b.str();
+    case ColumnRep::kEnc:
+      return a.enc_scheme() == b.enc_scheme() &&
+             a.enc_key_id() == b.enc_key_id() &&
+             a.enc_arena() == b.enc_arena() && a.enc_ends() == b.enc_ends() &&
+             a.enc_aux() == b.enc_aux();
+    case ColumnRep::kCell:
+      return false;  // neither path builds a kCell column here
+  }
+  return false;
 }
 
 /// A result's segment encoding: deterministic and lossless, so equal
@@ -565,6 +602,135 @@ int main(int argc, char** argv) {
     w.Key("paillier_precomp_speedup").Double(legacy_us / fast_us);
   }
 
+  // Column crypto: the batched kernels vs the per-cell reference, both
+  // over spans of the engine's batch size.
+  bool crypto_ok = true;
+  {
+    const Table& li = db.at(env.lineitem);
+    const size_t n = li.num_rows();
+    const size_t span = Table::kDefaultBatchSize;
+    const uint64_t nonce_base = 0x5eed;
+    KeyMaterial km = *keyring.Get(0);
+    ColumnCodec codec(km);
+    std::printf(
+        "\nColumn crypto, ns/row (kernel vs per-cell reference, best of "
+        "%d):\n%-5s %-16s %9s %9s %9s %9s  %s\n",
+        reps, "", "column", "enc", "enc-ref", "dec", "dec-ref", "bytes");
+    w.Key("column_crypto").BeginArray();
+    for (EncScheme scheme :
+         {EncScheme::kRandom, EncScheme::kDeterministic, EncScheme::kOpe}) {
+      double kernel_s = 0, ref_s = 0;
+      for (const char* name : {"l_shipdate", "l_extendedprice", "l_shipmode"}) {
+        const int idx = li.ColIndex(env.catalog.attrs().Find(name));
+        const ColumnData& src = li.col(static_cast<size_t>(idx));
+        const DataType type = li.columns()[static_cast<size_t>(idx)].type;
+        if (scheme == EncScheme::kOpe && type == DataType::kString) continue;
+        Status st;
+        auto keep = [&](const Status& s) {
+          if (st.ok() && !s.ok()) st = s;
+        };
+        auto secs = [](Clock::time_point t0) {
+          return std::chrono::duration<double>(Clock::now() - t0).count();
+        };
+        ColumnData enc, enc_ref, dec, dec_ref;
+        double enc_s = BestOf(reps, [&] {
+          ColumnData out(ColumnRep::kEnc);
+          auto t0 = Clock::now();
+          for (size_t b = 0; b < n; b += span) {
+            keep(codec.EncryptSpan(src, b, std::min(n, b + span), scheme,
+                                   nonce_base, &out));
+          }
+          double t = secs(t0);
+          enc = std::move(out);
+          return t;
+        });
+        double enc_ref_s = BestOf(reps, [&] {
+          ColumnData out(ColumnRep::kEnc);
+          auto t0 = Clock::now();
+          for (size_t r = 0; r < n; ++r) {
+            Result<EncValue> ev =
+                EncryptValue(src.GetValue(r), scheme, km.key_id, km,
+                             nonce_base + r);
+            if (!ev.ok()) {
+              keep(ev.status());
+              break;
+            }
+            out.AppendEnc(*ev);
+          }
+          double t = secs(t0);
+          enc_ref = std::move(out);
+          return t;
+        });
+        double dec_s = BestOf(reps, [&] {
+          std::vector<ColumnData> parts;
+          auto t0 = Clock::now();
+          for (size_t b = 0; b < n; b += span) {
+            Result<ColumnData> part =
+                codec.DecryptSpan(enc, b, std::min(n, b + span), type, false);
+            if (!part.ok()) {
+              keep(part.status());
+              break;
+            }
+            parts.push_back(std::move(*part));
+          }
+          ColumnData out = ConcatSpans(std::move(parts));
+          double t = secs(t0);
+          dec = std::move(out);
+          return t;
+        });
+        double dec_ref_s = BestOf(reps, [&] {
+          std::vector<Cell> cells(n);
+          auto t0 = Clock::now();
+          for (size_t r = 0; r < n; ++r) {
+            Result<Value> v = DecryptValue(enc_ref.EncAt(r), km, type);
+            if (!v.ok()) {
+              keep(v.status());
+              break;
+            }
+            cells[r] = Cell(std::move(*v));
+          }
+          ColumnData out = ColumnFromCells(std::move(cells));
+          double t = secs(t0);
+          dec_ref = std::move(out);
+          return t;
+        });
+        bool same = st.ok() && SameColumn(enc, enc_ref) &&
+                    SameColumn(dec, dec_ref);
+        crypto_ok = crypto_ok && same;
+        kernel_s += enc_s + dec_s;
+        ref_s += enc_ref_s + dec_ref_s;
+        auto ns = [&](double t) { return t * 1e9 / static_cast<double>(n); };
+        std::printf("%-5s %-16s %9.1f %9.1f %9.1f %9.1f  %s\n",
+                    EncSchemeName(scheme), name, ns(enc_s), ns(enc_ref_s),
+                    ns(dec_s), ns(dec_ref_s),
+                    !st.ok() ? st.ToString().c_str()
+                             : (same ? "identical" : "DIFFER"));
+        w.BeginObject();
+        w.Key("scheme").String(EncSchemeName(scheme));
+        w.Key("column").String(name);
+        w.Key("rows").UInt(n);
+        w.Key("encrypt_ns_per_row").Double(ns(enc_s));
+        w.Key("encrypt_ref_ns_per_row").Double(ns(enc_ref_s));
+        w.Key("decrypt_ns_per_row").Double(ns(dec_s));
+        w.Key("decrypt_ref_ns_per_row").Double(ns(dec_ref_s));
+        w.Key("identical").Bool(same);
+        w.EndObject();
+      }
+      double speedup = ref_s / kernel_s;
+      bool fast = speedup >= 2.0;
+      crypto_ok = crypto_ok && fast;
+      std::printf("%-5s kernels %.2fx the reference (floor 2.00x): %s\n",
+                  EncSchemeName(scheme), speedup, fast ? "ok" : "BELOW FLOOR");
+      w.BeginObject();
+      w.Key("scheme").String(EncSchemeName(scheme));
+      w.Key("column").String("all");
+      w.Key("kernel_speedup").Double(speedup);
+      w.EndObject();
+    }
+    w.EndArray();
+    w.Key("column_crypto_ok").Bool(crypto_ok);
+  }
+
   if (!trace_path.empty()) {
     w.Key("trace_path").String(trace_path);
     w.Key("q3_plain_ms").Double(q3_plain_s * 1e3);
@@ -587,9 +753,12 @@ int main(int argc, char** argv) {
               floor_ok ? "ok" : "BELOW FLOOR");
   std::printf("results verified (oracle ≡ engine, 1t ≡ 2t ≡ 8t): %s\n",
               all_verified ? "yes" : "NO");
+  std::printf(
+      "column crypto (kernels ≡ reference, each scheme ≥ 2x): %s\n",
+      crypto_ok ? "ok" : "FAILED");
   std::printf("wrote %s\n", json_path.c_str());
   return all_verified && completed == expected && floor_ok &&
-                 trace_overhead_ok
+                 trace_overhead_ok && crypto_ok
              ? 0
              : 1;
 }

@@ -31,9 +31,9 @@ struct AssignmentResult {
 /// The DP treats inter-node encryption edge-locally (encryption needed
 /// between a child's assignee and its parent's assignee); the Def 5.4(ii)
 /// ancestor term is then accounted exactly by re-costing the produced
-/// minimally extended plan (DESIGN.md §5). OptimizeExhaustive enumerates all
-/// of Λ's cross-product with exact extended-plan costing and is used to
-/// validate the DP on small plans.
+/// minimally extended plan (BuildMinimallyExtendedPlan). OptimizeExhaustive
+/// enumerates all of Λ's cross-product with exact extended-plan costing and
+/// is used to validate the DP on small plans.
 class AssignmentOptimizer {
  public:
   AssignmentOptimizer(const Policy* policy, const CostModel* cost_model)

@@ -1,5 +1,6 @@
 #include "crypto/cipher.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
@@ -78,6 +79,66 @@ uint64_t DetNonce(uint64_t key, const char* plaintext, size_t len) {
     h = SplitMix64(h ^ static_cast<unsigned char>(plaintext[i]));
   }
   return h;
+}
+
+// The block primitives always run kCryptoBlock lanes so the lane loops
+// unroll into independent chains; lanes at or past `n` compute on zero
+// state and touch no memory.
+
+void DetNonceBlock(uint64_t key, const char* const* in, const size_t* len,
+                   size_t n, uint64_t* nonces) {
+  uint64_t h[kCryptoBlock];
+  size_t l[kCryptoBlock];
+  size_t max_len = 0;
+  const uint64_t h0 = SplitMix64(key ^ 0xdeadbeefcafef00dull);
+  for (size_t k = 0; k < kCryptoBlock; ++k) {
+    h[k] = h0;
+    l[k] = k < n ? len[k] : 0;
+    max_len = std::max(max_len, l[k]);
+  }
+  for (size_t i = 0; i < max_len; ++i) {
+    for (size_t k = 0; k < kCryptoBlock; ++k) {
+      bool live = i < l[k];
+      uint64_t next = SplitMix64(
+          h[k] ^ (live ? static_cast<unsigned char>(in[k][i]) : 0u));
+      h[k] = live ? next : h[k];
+    }
+  }
+  for (size_t k = 0; k < n; ++k) nonces[k] = h[k];
+}
+
+void XorKeystreamBlock(uint64_t key, const uint64_t* nonces,
+                       const char* const* in, const size_t* len, size_t n,
+                       char* const* out) {
+  // Lane k's state runs as XorKeystream's: SplitMix64(key ^
+  // SplitMix64(nonce)), then one step per 8-byte word and one for the tail.
+  uint64_t s[kCryptoBlock];
+  size_t l[kCryptoBlock];
+  size_t words = 0;
+  for (size_t k = 0; k < kCryptoBlock; ++k) {
+    s[k] = k < n ? nonces[k] : 0;
+    l[k] = k < n ? len[k] : 0;
+    words = std::max(words, (l[k] + 7) / 8);
+  }
+  for (size_t k = 0; k < kCryptoBlock; ++k) s[k] = SplitMix64(s[k]);
+  for (size_t k = 0; k < kCryptoBlock; ++k) s[k] = SplitMix64(key ^ s[k]);
+  for (size_t j = 0; j < words; ++j) {
+    for (size_t k = 0; k < kCryptoBlock; ++k) s[k] = SplitMix64(s[k]);
+    size_t at = 8 * j;
+    for (size_t k = 0; k < n; ++k) {
+      if (at + 8 <= l[k]) {
+        uint64_t word;
+        std::memcpy(&word, in[k] + at, 8);
+        word ^= s[k];
+        std::memcpy(out[k] + at, &word, 8);
+      } else {
+        for (size_t b = 0; at + b < l[k]; ++b) {
+          out[k][at + b] = static_cast<char>(
+              in[k][at + b] ^ static_cast<char>(s[k] >> (8 * b)));
+        }
+      }
+    }
+  }
 }
 
 void SymEncryptTo(uint64_t key, uint64_t nonce, const char* plaintext,

@@ -6,7 +6,8 @@
 // ciphertexts (equality-preserving); randomized mode draws a fresh nonce.
 //
 // This is a functional simulation adequate for reproducing the paper's
-// system behaviour (see DESIGN.md §2); it is NOT cryptographically strong.
+// system behaviour (which subject can read, compare or aggregate which
+// attribute); it is NOT cryptographically strong.
 
 #ifndef MPQ_CRYPTO_CIPHER_H_
 #define MPQ_CRYPTO_CIPHER_H_
@@ -33,6 +34,23 @@ void SymEncryptTo(uint64_t key, uint64_t nonce, const char* plaintext,
 
 /// The deterministic scheme's nonce, PRF(key, plaintext).
 uint64_t DetNonce(uint64_t key, const char* plaintext, size_t len);
+
+/// Rows per call of the block primitives below. Their SplitMix64 chains
+/// are independent across rows, so running the rows of a block interleaved
+/// lets the CPU overlap the chains' multiplies instead of waiting on one.
+inline constexpr size_t kCryptoBlock = 8;
+
+/// DetNonce of `n` <= kCryptoBlock rows: `nonces[k]` = DetNonce(key,
+/// `in[k]`, `len[k]`).
+void DetNonceBlock(uint64_t key, const char* const* in, const size_t* len,
+                   size_t n, uint64_t* nonces);
+
+/// The keystream XOR of SymEncryptTo/SymDecrypt over `n` <= kCryptoBlock
+/// rows: `out[k][0, len[k])` = `in[k]` masked by the keystream of (key,
+/// `nonces[k]`). `in[k]` may equal `out[k]` (in place).
+void XorKeystreamBlock(uint64_t key, const uint64_t* nonces,
+                       const char* const* in, const size_t* len, size_t n,
+                       char* const* out);
 
 /// Deterministic encryption: nonce = PRF(key, plaintext).
 std::string DetEncrypt(uint64_t key, const std::string& plaintext);

@@ -42,22 +42,34 @@ class ColumnCodec {
   bool has_material() const { return has_material_; }
 
   /// Encrypts plaintext rows [begin, end) of `src` under `scheme`,
-  /// appending the `end - begin` ciphertexts to `out`, a kEnc column
-  /// (typed rows are written straight into its arena). Row r draws nonce
-  /// `nonce_base + r` (absolute row index), so spans may be encrypted in
-  /// any batch partition — including concurrently into separate columns,
-  /// the method is const and thread-safe — without changing a single
-  /// output bit.
+  /// appending the `end - begin` ciphertexts to `out`, a kEnc column. Row r
+  /// draws nonce `nonce_base + r` (absolute row index), so spans may be
+  /// encrypted in any batch partition — including concurrently into
+  /// separate columns, the method is const and thread-safe — without
+  /// changing a single output bit. Typed int64/double/string rows under
+  /// RND, DET and OPE (and non-NULL numeric rows under Paillier) run
+  /// batched kernels that size the arena once per span and write the
+  /// ciphertexts straight into it; the bytes equal EncryptValue's. A NULL
+  /// row under OPE becomes a NULL row (empty blob, null mask): it orders
+  /// below every ciphertext, as NULL orders below every value.
   Status EncryptSpan(const ColumnData& src, size_t begin, size_t end,
                      EncScheme scheme, uint64_t nonce_base,
                      ColumnData* out) const;
 
-  /// Decrypts rows [begin, end) of `src` into `out[0..end - begin)`: NULL
-  /// rows become null cells, plaintext rows pass through untouched,
-  /// ciphertext rows decrypt with `type` guiding numeric decoding. When
-  /// `hom_avg` is set the ciphertexts hold Paillier sums whose `aux`
-  /// counter is the divisor, and the plaintext written is the divided
-  /// double. Const and thread-safe.
+  /// Decrypts rows [begin, end) of `src` into a column built as
+  /// ColumnFromCells would build it from the decrypted cells: NULL rows
+  /// become NULLs, plaintext rows pass through untouched, ciphertext rows
+  /// decrypt with `type` guiding numeric decoding. When `hom_avg` is set
+  /// the ciphertexts hold Paillier sums whose `aux` counter is the divisor,
+  /// and the plaintext written is the divided double. A kEnc span decrypts
+  /// straight into typed vectors; a kCell span, or one whose plaintexts
+  /// have different types, goes through cells. ConcatSpans joins the spans
+  /// of a column. Const and thread-safe.
+  Result<ColumnData> DecryptSpan(const ColumnData& src, size_t begin,
+                                 size_t end, DataType type,
+                                 bool hom_avg) const;
+
+  /// DecryptSpan's rows as cells, into `out[0..end - begin)`.
   Status DecryptSpan(const ColumnData& src, size_t begin, size_t end,
                      DataType type, bool hom_avg, Cell* out) const;
 
@@ -76,6 +88,10 @@ class ColumnCodec {
                            size_t n);
 
  private:
+  /// The per-cell path: kCell spans, and spans whose plaintexts disagree.
+  Status DecryptCells(const ColumnData& src, size_t begin, size_t end,
+                      DataType type, bool hom_avg, Cell* out) const;
+
   bool has_material_ = false;
   uint64_t key_id_ = 0;
   KeyMaterial km_;

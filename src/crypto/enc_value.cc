@@ -46,8 +46,7 @@ Result<EncValue> EncryptValue(const Value& v, EncScheme scheme, uint64_t key_id,
       if (v.is_int()) {
         m = v.AsInt();
       } else if (v.is_double()) {
-        m = static_cast<int64_t>(
-            std::llround(v.AsDouble() * static_cast<double>(kFixedPointScale)));
+        m = ToFixedPoint(v.AsDouble());
       } else {
         return Status::Unsupported("Paillier supports numeric values only");
       }

@@ -15,38 +15,44 @@ uint16_t Prf16(uint64_t key, int64_t x) {
       SplitMix64(key ^ SplitMix64(static_cast<uint64_t>(x))) & 0xffff);
 }
 
-std::string ToBigEndian(uint128 v) {
-  std::string out;
-  out.resize(16);
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = static_cast<char>(v & 0xff);
-    v >>= 8;
-  }
-  return out;
+uint64_t LoadBigEndian64(const char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, 8);
+  return __builtin_bswap64(w);
 }
 
-uint128 FromBigEndian(std::string_view bytes) {
-  uint128 v = 0;
-  for (char c : bytes) {
-    v = (v << 8) | static_cast<unsigned char>(c);
-  }
-  return v;
+void StoreBigEndian64(uint64_t w, char* p) {
+  w = __builtin_bswap64(w);
+  std::memcpy(p, &w, 8);
 }
 
 }  // namespace
 
-std::string OpeEncryptInt(uint64_t key, int64_t x) {
+int64_t ToFixedPoint(double v) {
+  return static_cast<int64_t>(
+      std::llround(v * static_cast<double>(kFixedPointScale)));
+}
+
+void OpeEncryptIntTo(uint64_t key, int64_t x, char* out) {
   // Shift to an unsigned, order-preserving offset.
   uint64_t offset = static_cast<uint64_t>(x) ^ (uint64_t{1} << 63);
   uint128 y = (static_cast<uint128>(offset) << 16) | Prf16(key, x);
-  return ToBigEndian(y);
+  StoreBigEndian64(static_cast<uint64_t>(y >> 64), out);
+  StoreBigEndian64(static_cast<uint64_t>(y), out + 8);
+}
+
+std::string OpeEncryptInt(uint64_t key, int64_t x) {
+  std::string out(kOpeCipherBytes, '\0');
+  OpeEncryptIntTo(key, x, out.data());
+  return out;
 }
 
 Result<int64_t> OpeDecryptInt(uint64_t key, std::string_view ct) {
-  if (ct.size() != 16) {
+  if (ct.size() != kOpeCipherBytes) {
     return Status::InvalidArgument("bad OPE ciphertext size");
   }
-  uint128 y = FromBigEndian(ct);
+  uint128 y = (static_cast<uint128>(LoadBigEndian64(ct.data())) << 64) |
+              LoadBigEndian64(ct.data() + 8);
   uint64_t offset = static_cast<uint64_t>(y >> 16);
   int64_t x = static_cast<int64_t>(offset ^ (uint64_t{1} << 63));
   // Integrity: pad must match.
@@ -58,10 +64,7 @@ Result<int64_t> OpeDecryptInt(uint64_t key, std::string_view ct) {
 
 Result<std::string> OpeEncryptValue(uint64_t key, const Value& v) {
   if (v.is_int()) return OpeEncryptInt(key, v.AsInt());
-  if (v.is_double()) {
-    double scaled = v.AsDouble() * static_cast<double>(kFixedPointScale);
-    return OpeEncryptInt(key, static_cast<int64_t>(std::llround(scaled)));
-  }
+  if (v.is_double()) return OpeEncryptInt(key, ToFixedPoint(v.AsDouble()));
   return Status::Unsupported("OPE supports numeric values only");
 }
 

@@ -11,6 +11,7 @@
 #ifndef MPQ_CRYPTO_OPE_H_
 #define MPQ_CRYPTO_OPE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -23,9 +24,19 @@ namespace mpq {
 /// Fixed-point scale for doubles under OPE and Paillier.
 inline constexpr int64_t kFixedPointScale = 10000;
 
+/// The fixed-point integer OPE and Paillier encrypt a double as.
+int64_t ToFixedPoint(double v);
+
+/// Size of an OPE ciphertext.
+inline constexpr size_t kOpeCipherBytes = 16;
+
 /// Encrypts an int64. Ciphertext is a 16-byte big-endian string whose
 /// lexicographic order equals the plaintext numeric order.
 std::string OpeEncryptInt(uint64_t key, int64_t x);
+
+/// OpeEncryptInt into `out[0, 16)`, allocation-free: for encoders that
+/// write ciphertexts straight into a column arena.
+void OpeEncryptIntTo(uint64_t key, int64_t x, char* out);
 
 /// Inverts OpeEncryptInt.
 Result<int64_t> OpeDecryptInt(uint64_t key, std::string_view ct);

@@ -165,7 +165,8 @@ uint128 PaillierAdd(uint64_t n, uint128 c1, uint128 c2) {
 
 uint64_t PaillierEncodeSigned(const PaillierKey& key, int64_t v) {
   if (v >= 0) return static_cast<uint64_t>(v) % key.n;
-  return key.n - (static_cast<uint64_t>(-v) % key.n);
+  // |v| by unsigned negation, which also holds for INT64_MIN.
+  return key.n - ((0 - static_cast<uint64_t>(v)) % key.n);
 }
 
 int64_t PaillierDecodeSigned(const PaillierKey& key, uint64_t m) {

@@ -3,7 +3,7 @@
 // A real Paillier implementation (keygen, Enc, Dec, homomorphic addition)
 // sized so ciphertext arithmetic fits in unsigned __int128. Supports the
 // paper's encrypted sum/avg aggregation. Small-modulus keys are NOT secure;
-// they reproduce system behaviour, not cryptographic strength (DESIGN.md §2).
+// they reproduce system behaviour, not cryptographic strength.
 
 #ifndef MPQ_CRYPTO_PAILLIER_H_
 #define MPQ_CRYPTO_PAILLIER_H_

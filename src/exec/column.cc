@@ -107,8 +107,10 @@ void ColumnData::AppendEncRange(const ColumnData& src, size_t begin,
   uint32_t to = src.ends_[begin + n - 1];
   auto base = static_cast<uint32_t>(arena_.size());
   arena_.append(src.arena_.data() + from, to - from);
+  size_t row0 = ends_.size();
+  ends_.resize(row0 + n);
   for (size_t k = 0; k < n; ++k) {
-    ends_.push_back(src.ends_[begin + k] - from + base);
+    ends_[row0 + k] = src.ends_[begin + k] - from + base;
   }
   if (!src.aux_.empty()) {
     EnsureAux();
@@ -143,19 +145,36 @@ void ColumnData::AppendEnc(const EncView& ev) {
   size_++;
 }
 
-char* ColumnData::AppendEncBlob(EncScheme scheme, uint64_t key_id,
-                                size_t len) {
+char* ColumnData::AppendEncBlobs(EncScheme scheme, uint64_t key_id,
+                                 const uint32_t* lens, const uint8_t* nulls,
+                                 size_t n) {
   assert(rep_ == ColumnRep::kEnc);
-  assert(!enc_keyed_ || (scheme == enc_scheme_ && key_id == enc_key_));
-  enc_scheme_ = scheme;
-  enc_key_ = key_id;
-  enc_keyed_ = true;
   size_t at = arena_.size();
-  arena_.resize(at + len);
-  ends_.push_back(static_cast<uint32_t>(arena_.size()));
-  if (!aux_.empty()) aux_.push_back(1);
-  GrowNulls(1);
-  size_++;
+  size_t row0 = ends_.size();
+  ends_.resize(row0 + n);
+  size_t total = at;
+  for (size_t k = 0; k < n; ++k) {
+    total += lens[k];
+    ends_[row0 + k] = static_cast<uint32_t>(total);
+  }
+  size_t nulled =
+      nulls == nullptr ? 0 : n - static_cast<size_t>(std::count(
+                                     nulls, nulls + n, uint8_t{0}));
+  if (nulled > 0) {
+    EnsureNulls();
+    nulls_.insert(nulls_.end(), nulls, nulls + n);
+  } else {
+    GrowNulls(n);
+  }
+  if (nulled < n) {  // a NULL-only span leaves the column unkeyed
+    assert(!enc_keyed_ || (scheme == enc_scheme_ && key_id == enc_key_));
+    enc_scheme_ = scheme;
+    enc_key_ = key_id;
+    enc_keyed_ = true;
+  }
+  if (!aux_.empty()) aux_.insert(aux_.end(), n, 1);
+  arena_.resize(total);
+  size_ += n;
   return arena_.data() + at;
 }
 
@@ -433,6 +452,21 @@ void ColumnData::MoveAppend(ColumnData&& src) {
   src.Clear();
 }
 
+void ColumnData::MoveAppendAll(std::vector<ColumnData> spans) {
+  size_t rows = size_;
+  size_t bytes = arena_.size();
+  for (const ColumnData& s : spans) {
+    rows += s.size_;
+    bytes += s.arena_.size();
+  }
+  for (ColumnData& s : spans) {
+    MoveAppend(std::move(s));
+    // After the first span, whose buffers MoveAppend may steal.
+    Reserve(rows);
+    if (rep_ == ColumnRep::kEnc) arena_.reserve(bytes);
+  }
+}
+
 uint64_t ColumnData::ByteSize() const {
   uint64_t nulls =
       nulls_.empty() ? 0 : size_ - std::count(nulls_.begin(), nulls_.end(), 0);
@@ -477,6 +511,34 @@ ColumnData ColumnFromCells(std::vector<Cell> cells) {
   ColumnData out(rep);
   out.Reserve(cells.size());
   for (Cell& c : cells) out.Append(std::move(c));
+  return out;
+}
+
+namespace {
+
+bool HasNonNullRow(const ColumnData& c) {
+  if (c.rep() == ColumnRep::kCell) {
+    return std::any_of(c.cells().begin(), c.cells().end(), [](const Cell& x) {
+      return x.is_encrypted() || !x.plain().is_null();
+    });
+  }
+  return !c.has_nulls() ? !c.empty()
+                        : std::find(c.null_mask().begin(), c.null_mask().end(),
+                                    uint8_t{0}) != c.null_mask().end();
+}
+
+}  // namespace
+
+ColumnData ConcatSpans(std::vector<ColumnData> spans) {
+  ColumnRep rep = ColumnRep::kCell;
+  for (const ColumnData& s : spans) {
+    if (HasNonNullRow(s)) {
+      rep = s.rep();
+      break;
+    }
+  }
+  ColumnData out(rep);
+  out.MoveAppendAll(std::move(spans));
   return out;
 }
 

@@ -113,11 +113,15 @@ class ColumnData {
   /// Appends one ciphertext, demoting the column when it cannot hold it.
   void AppendEnc(const EncView& ev);
 
-  /// Appends one ciphertext of `len` blob bytes under (scheme, key) with
-  /// aux 1 and returns where its blob goes, for encoders that write
-  /// ciphertexts straight into the arena. Precondition: rep kEnc and the
-  /// column unkeyed or keyed to (scheme, key).
-  char* AppendEncBlob(EncScheme scheme, uint64_t key_id, size_t len);
+  /// Appends `n` ciphertext rows under (scheme, key) with aux 1, row k's
+  /// blob taking `lens[k]` bytes, and returns where row 0's blob goes (the
+  /// others follow back to back): one sizing of the arena and offsets for
+  /// encoders that write a span of ciphertexts straight into it. `nulls`,
+  /// when set, flags (1 = NULL) rows that go to the null mask; their
+  /// `lens` must be 0. Precondition: rep kEnc and the column unkeyed or
+  /// keyed to (scheme, key).
+  char* AppendEncBlobs(EncScheme scheme, uint64_t key_id,
+                       const uint32_t* lens, const uint8_t* nulls, size_t n);
 
   /// Plaintext view of row `i`; rep must not be kEnc (kCell rows must hold
   /// plain cells).
@@ -139,6 +143,10 @@ class ColumnData {
   /// (whole-vector move when this column is empty and reps match; otherwise
   /// element moves). `src` is left empty.
   void MoveAppend(ColumnData&& src);
+
+  /// MoveAppend of every column of `spans` in order, sizing this column's
+  /// storage once for all of them.
+  void MoveAppendAll(std::vector<ColumnData> spans);
 
   /// Converts typed storage to the kCell fallback (no-op when already
   /// there).
@@ -255,6 +263,13 @@ class ColumnDict {
 /// Builds a column from materialized cells, choosing the typed rep from the
 /// first non-null cell (heterogeneous content demotes to kCell).
 ColumnData ColumnFromCells(std::vector<Cell> cells);
+
+/// Splices columns that ColumnFromCells-style builders made of consecutive
+/// spans into the column ColumnFromCells would build over all their cells:
+/// the rep is that of the first span holding a non-NULL row (an all-NULL
+/// span's own kCell rep does not count), demoted when a later span's
+/// content does not fit it.
+ColumnData ConcatSpans(std::vector<ColumnData> spans);
 
 }  // namespace mpq
 

@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -104,6 +105,24 @@ inline int CmpPlainRows(const ColumnData& a, size_t i, const ColumnData& b,
   if (x < y) return -1;
   if (x > y) return 1;
   return 0;
+}
+
+/// A NULL row of a ciphertext column, compared against `other`: an empty
+/// blob under its scheme and key, which orders below every OPE ciphertext
+/// and equals only another NULL — the order the plaintext path gives NULL.
+inline EncView NullBlob(const EncView& other) {
+  return EncView{other.scheme, other.key_id, std::string_view(), 1};
+}
+
+/// Compares rows `i` of kEnc `a` and `j` of kEnc `b` as CompareCiphertexts,
+/// a NULL row as NullBlob.
+inline Result<bool> CompareEncRows(CmpOp op, const ColumnData& a, size_t i,
+                                   const ColumnData& b, size_t j) {
+  bool an = a.IsNull(i), bn = b.IsNull(j);
+  if (an && bn) return ApplyCmp(op, 0);
+  EncView x = an ? NullBlob(b.EncAt(j)) : a.EncAt(i);
+  EncView y = bn ? NullBlob(x) : b.EncAt(j);
+  return CompareCiphertexts(op, x, y);
 }
 
 Status FilterAll(const std::vector<BoundPredicate>& preds, const Table& t,

@@ -289,6 +289,23 @@ Result<Table> ZoneMapScan(const SegmentedTable& st, const PlanNode* sel,
 }  // namespace
 }  // namespace exec_internal
 
+namespace {
+
+/// The schemes an encrypt/decrypt node's attributes use, as
+/// "l_quantity:OPE,l_extendedprice:RND" (attribute-id order).
+std::string SchemesAnnotation(const PlanNode* n, const ExecContext& ctx) {
+  std::string out;
+  for (AttrId a : n->attrs.ToVector()) {
+    if (!out.empty()) out += ',';
+    out += ctx.catalog->attrs().Name(a);
+    out += ':';
+    out += EncSchemeName(ctx.crypto->SchemeOf(a));
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<Table> ExecuteNodeOnInputs(const PlanNode* n, std::vector<Table> inputs,
                                   ExecContext* ctx) {
   if (ctx->op_profile == nullptr && ctx->trace == nullptr) {
@@ -324,6 +341,10 @@ Result<Table> ExecuteNodeOnInputs(const PlanNode* n, std::vector<Table> inputs,
     }
     span.AnnInt("wall_ns", static_cast<int64_t>(ns));
     if (morsels > 0) span.AnnInt("morsels", static_cast<int64_t>(morsels));
+    if ((n->kind == OpKind::kEncrypt || n->kind == OpKind::kDecrypt) &&
+        ctx->crypto != nullptr) {
+      span.AnnStr("schemes", SchemesAnnotation(n, *ctx));
+    }
     if (!result.ok()) span.AnnStr("error", result.status().ToString());
   }
   return result;

@@ -45,16 +45,8 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
     }
     if (lhs.rep() == ColumnRep::kEnc && rhs.rep() == ColumnRep::kEnc) {
       for (uint32_t r : s) {
-        if (lhs.IsNull(r) || rhs.IsNull(r)) {
-          // A plain NULL inside a ciphertext column: defer to the generic
-          // cell comparison (mixed plain/encrypted is an error there).
-          MPQ_ASSIGN_OR_RETURN(
-              bool keep, CompareCells(bp.op, lhs.GetCell(r), rhs.GetCell(r)));
-          if (keep) s[kept++] = r;
-          continue;
-        }
-        MPQ_ASSIGN_OR_RETURN(
-            bool keep, CompareCiphertexts(bp.op, lhs.EncAt(r), rhs.EncAt(r)));
+        MPQ_ASSIGN_OR_RETURN(bool keep,
+                             CompareEncRows(bp.op, lhs, r, rhs, r));
         if (keep) s[kept++] = r;
       }
       s.resize(kept);
@@ -101,14 +93,8 @@ Status FilterSelection(const BoundPredicate& bp, const Table& t,
   if (bp.rhs_const.is_encrypted() && lhs.rep() == ColumnRep::kEnc) {
     EncView ev = bp.rhs_const.enc();
     for (uint32_t r : s) {
-      if (lhs.IsNull(r)) {
-        MPQ_ASSIGN_OR_RETURN(
-            bool keep, CompareCells(bp.op, lhs.GetCell(r), bp.rhs_const));
-        if (keep) s[kept++] = r;
-        continue;
-      }
-      MPQ_ASSIGN_OR_RETURN(bool keep,
-                           CompareCiphertexts(bp.op, lhs.EncAt(r), ev));
+      EncView a = lhs.IsNull(r) ? NullBlob(ev) : lhs.EncAt(r);
+      MPQ_ASSIGN_OR_RETURN(bool keep, CompareCiphertexts(bp.op, a, ev));
       if (keep) s[kept++] = r;
     }
     s.resize(kept);

@@ -62,9 +62,7 @@ Result<bool> RowBetter(const ColumnData& col, CmpOp op, size_t i, size_t j) {
   if (PlainTypedRep(col.rep())) {
     return ApplyCmp(op, CmpPlainRows(col, i, col, j));
   }
-  if (col.rep() == ColumnRep::kEnc && !col.IsNull(i) && !col.IsNull(j)) {
-    return CompareCiphertexts(op, col.EncAt(i), col.EncAt(j));
-  }
+  if (col.rep() == ColumnRep::kEnc) return CompareEncRows(op, col, i, col, j);
   return CompareCells(op, col.GetCell(i), col.GetCell(j));
 }
 

@@ -11,7 +11,8 @@
 //        and that some ancestor assignee may only see encrypted.
 // On top of the paper's formula, a small fix-point closure keeps compared
 // attribute pairs (and udf inputs) uniformly encrypted so every operation in
-// T' stays executable (see DESIGN.md §5).
+// T' stays executable: an operation cannot compare a plaintext attribute
+// with an encrypted one, nor two attributes encrypted under different keys.
 
 #ifndef MPQ_EXTEND_EXTEND_H_
 #define MPQ_EXTEND_EXTEND_H_

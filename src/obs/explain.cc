@@ -27,6 +27,11 @@ double ArgNum(const SpanRecord* r, const char* key, double fallback = 0) {
   return fallback;
 }
 
+const std::string* ArgStr(const SpanRecord& r, const char* key) {
+  const SpanArg* a = FindArg(r, key);
+  return a != nullptr && a->kind == SpanArg::Kind::kStr ? &a->s : nullptr;
+}
+
 /// Collects every assignee-crossing edge (child output shipped to the
 /// parent's assignee; the root's output shipped to the user).
 void CollectEdges(const PlanNode* n, SubjectId dst, const ExtendedPlan& ext,
@@ -144,6 +149,9 @@ ExplainAnalyzeReport RenderExplainAnalyze(
       auto morsels = static_cast<unsigned long long>(
           ArgNum(op->second, "morsels"));
       if (morsels > 0) s += StrFormat(" morsels=%llu", morsels);
+      if (const std::string* schemes = ArgStr(*op->second, "schemes")) {
+        s += " schemes=" + *schemes;
+      }
       s += "]";
     }
     auto e = edge_of.find(n->id);

@@ -144,7 +144,9 @@ PlanPtr Q6(const PlanBuilder& b) {
   return GroupBy(std::move(li), {}, {Sum(b, "l_extendedprice")});
 }
 
-// Q7: volume shipping (one nation dimension; see DESIGN.md on aliases).
+// Q7: volume shipping. The algebra has no relation aliases (an attribute
+// belongs to one relation), so nation joins once, on the supplier side,
+// instead of as both n1 and n2.
 PlanPtr Q7(const PlanBuilder& b) {
   PlanPtr supp = Leaf(b, "supplier", "s_suppkey,s_nationkey");
   PlanPtr li = Select(

@@ -3,7 +3,9 @@
 // Each query keeps the standard join graph, predicate structure and
 // aggregation shape; vendor SQL features outside the supported algebra
 // (IN-lists, correlated subqueries, LIKE, EXISTS, computed expressions) are
-// lowered to equivalent select/join/aggregate forms (see DESIGN.md §5).
+// lowered to select/join/aggregate forms over the same attributes: the
+// authorization and cost models see only which attributes each operation
+// touches and how. Queries whose lowering changes the shape say so.
 
 #ifndef MPQ_TPCH_QUERIES_H_
 #define MPQ_TPCH_QUERIES_H_

@@ -416,6 +416,28 @@ class ObsServiceTest : public ::testing::Test {
   Table hosp_, ins_;
 };
 
+TEST_F(ObsServiceTest, ExplainAnalyzeNamesTheSchemeOfEachEncryptedAttribute) {
+  auto service = MakeService();
+  auto session = service->OpenSession(ex_->U);
+  ASSERT_TRUE(session.ok());
+  auto report = service->ExplainAnalyzeSql(kPaperSql, *session);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // The paper's Fig 5 extension: H and I each encrypt their join attribute
+  // (S, C) deterministically before the join runs at the provider. The
+  // encrypt node's bracket names the scheme, right after its morsels.
+  const std::string& text = report->text;
+  for (const char* line : {"ENC S  @H  [rows=4 ", "ENC C  @I  [rows=4 "}) {
+    size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << line << " in\n" << text;
+    size_t close = text.find(']', at);
+    std::string bracket = text.substr(at, close + 1 - at);
+    EXPECT_NE(bracket.find(" morsels=1 schemes="), std::string::npos)
+        << bracket;
+  }
+  EXPECT_NE(text.find(" schemes=S:DET]"), std::string::npos) << text;
+  EXPECT_NE(text.find(" schemes=C:DET]"), std::string::npos) << text;
+}
+
 TEST_F(ObsServiceTest, TracingIsOffByDefaultAndSamplingHonorsTheConfig) {
   auto plain = MakeService();
   auto session = plain->OpenSession(ex_->U);

@@ -27,7 +27,11 @@
 #include "net/topology.h"
 #include "paper_example.h"
 #include "service/query_service.h"
+#include "sql/binder.h"
 #include "sql/parser.h"
+#include "testing/reference_exec.h"
+#include "tpch/dbgen.h"
+#include "tpch/scenarios.h"
 
 namespace mpq {
 namespace {
@@ -780,6 +784,55 @@ TEST_F(WritesTest, QueriesReadColdRelationsTransparently) {
   auto cold_resp = service->ExecuteSql(sql, u);
   ASSERT_TRUE(cold_resp.ok()) << cold_resp.status().ToString();
   EXPECT_EQ(cold_resp->table.ToString(100), warm);
+}
+
+TEST(TpchWritesTest, NullInOpeColumnKeepsRangeQueriesAnswerable) {
+  // An insert that omits l_shipdate pads it with NULL. Under UAPenc the Q6
+  // range predicate runs over OPE ciphertexts of l_shipdate: the NULL row
+  // must encrypt (as a NULL row, not an error) and compare below every
+  // ciphertext, as the plaintext oracle orders NULL below every value.
+  TpchEnv env = MakeTpchEnv(/*costing_sf=*/1.0, /*num_providers=*/8);
+  TpchData db = GenerateTpch(env, /*data_sf=*/2e-4, /*seed=*/29);
+  Result<Policy> policy = MakeScenarioPolicy(env, AuthScenario::kUAPenc);
+  ASSERT_TRUE(policy.ok());
+  PricingTable prices = MakeScenarioPricing(env);
+  Topology topo = MakeScenarioTopology(env);
+  TableStore store;
+  for (auto& [rel, t] : db.tables) store.Put(rel, std::move(t));
+  ServiceConfig config;
+  config.store = &store;
+  QueryService service(&env.catalog, &env.subjects, &*policy, &prices, &topo,
+                       config);
+  Session user = *service.OpenSession(env.user);
+
+  Result<WriteResult> ins = service.ExecuteWrite(
+      "insert into lineitem (l_orderkey, l_partkey, l_suppkey, "
+      "l_linenumber, l_quantity, l_extendedprice, l_discount, l_tax, "
+      "l_returnflag, l_linestatus, l_commitdate, l_receiptdate, l_shipmode) "
+      "values (999999, 1, 1, 1, 5.0, 123.5, 0.06, 0.0, 'N', 'O', 800, 900, "
+      "'MAIL')",
+      user);
+  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+  ASSERT_EQ(ins->rows_affected, 1u);
+
+  ReferenceExecutor oracle(&env.catalog);
+  std::shared_ptr<const Snapshot> snap = store.Current();
+  for (const auto& [rel, t] : snap->tables) oracle.LoadTable(rel, t.get());
+  for (const std::string& sql :
+       {std::string("select sum(l_extendedprice) from lineitem "
+                    "where l_shipdate >= 730 and l_shipdate < 1095 "
+                    "and l_discount >= 0.05 and l_discount <= 0.07 "
+                    "and l_quantity < 24.0"),
+        std::string("select l_orderkey from lineitem "
+                    "where l_shipdate < 100 and l_discount >= 0.06")}) {
+    Result<PlanPtr> plan = PlanFromSql(sql, env.catalog);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Result<Table> want = oracle.Run(plan->get());
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    Result<QueryResponse> got = service.ExecuteSql(sql, user);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    EXPECT_EQ(CanonicalRows(got->table), CanonicalRows(*want)) << sql;
+  }
 }
 
 }  // namespace
