@@ -21,6 +21,13 @@ Status OpeNotNumeric() {
   return Status::Unsupported("OPE supports numeric values only");
 }
 
+/// The status EncryptValue returns for a string under OPE or Paillier.
+Status NotNumeric(EncScheme scheme) {
+  return scheme == EncScheme::kOpe
+             ? OpeNotNumeric()
+             : Status::Unsupported("Paillier supports numeric values only");
+}
+
 bool TypedRep(ColumnRep rep) {
   return rep == ColumnRep::kInt64 || rep == ColumnRep::kDouble ||
          rep == ColumnRep::kString;
@@ -279,48 +286,45 @@ Status ColumnCodec::EncryptSpan(const ColumnData& src, size_t begin,
     return Status::OK();
   }
 
-  // OPE: one 16-byte slot per non-NULL row; NULL rows take none.
-  if (typed && scheme == EncScheme::kOpe) {
+  // OPE and Paillier: one fixed-width slot per non-NULL numeric row; NULL
+  // rows take none. Paillier encodes and exponentiates straight from the
+  // typed span.
+  if (typed && (scheme == EncScheme::kOpe || scheme == EncScheme::kPaillier)) {
+    const bool ope = scheme == EncScheme::kOpe;
+    const uint32_t width = ope ? kOpeCipherBytes : sizeof(uint128);
     const uint8_t* nulls =
         src.has_nulls() ? src.null_mask().data() + begin : nullptr;
     for (size_t k = 0; k < n; ++k) {
       bool null = nulls != nullptr && nulls[k] != 0;
-      if (!null && !numeric) return OpeNotNumeric();
-      lens[k] = null ? 0 : kOpeCipherBytes;
+      if (!null && !numeric) return NotNumeric(scheme);
+      lens[k] = null ? 0 : width;
     }
     char* slot = out->AppendEncBlobs(scheme, key_id_, lens.data(), nulls, n);
-    for (size_t r = begin; r < end; ++r) {
-      if (src.IsNull(r)) continue;
-      OpeEncryptIntTo(km_.ope, NumericAt(src, r), slot);
-      slot += kOpeCipherBytes;
-    }
-    return Status::OK();
-  }
-
-  // Paillier over a NULL-free numeric vector encodes and exponentiates
-  // straight from the typed span.
-  if (numeric && scheme == EncScheme::kPaillier && !src.has_nulls()) {
-    std::fill(lens.begin(), lens.end(), uint32_t{sizeof(uint128)});
-    char* slot = out->AppendEncBlobs(scheme, key_id_, lens.data(), nullptr, n);
     const PaillierPrecomp* pre =
         km_.hom_precomp != nullptr && km_.hom_precomp->valid()
             ? km_.hom_precomp.get()
             : nullptr;
     for (size_t r = begin; r < end; ++r) {
-      uint64_t m = PaillierEncodeSigned(km_.paillier, NumericAt(src, r));
-      uint64_t nonce = (nonce_base + r) | 1;  // same blinding as EncryptValue
-      uint128 c = pre != nullptr ? pre->Encrypt(m, nonce)
-                                 : PaillierEncrypt(km_.paillier, m, nonce);
-      std::memcpy(slot, &c, sizeof(c));
-      slot += sizeof(c);
+      if (src.IsNull(r)) continue;
+      if (ope) {
+        OpeEncryptIntTo(km_.ope, NumericAt(src, r), slot);
+      } else {
+        uint64_t m = PaillierEncodeSigned(km_.paillier, NumericAt(src, r));
+        uint64_t nonce = (nonce_base + r) | 1;  // same blinding as EncryptValue
+        uint128 c = pre != nullptr ? pre->Encrypt(m, nonce)
+                                   : PaillierEncrypt(km_.paillier, m, nonce);
+        std::memcpy(slot, &c, sizeof(c));
+      }
+      slot += width;
     }
     return Status::OK();
   }
 
-  // kCell inputs and Paillier over NULLs: per cell.
+  // kCell inputs: per cell. A NULL under OPE or Paillier is a NULL row.
   for (size_t r = begin; r < end; ++r) {
     Cell cell = src.GetCell(r);
-    if (scheme == EncScheme::kOpe && cell.plain().is_null()) {
+    if ((scheme == EncScheme::kOpe || scheme == EncScheme::kPaillier) &&
+        cell.plain().is_null()) {
       out->AppendNull();
       continue;
     }

@@ -1,6 +1,8 @@
 #include "obs/metrics_registry.h"
 
+#include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "common/str_util.h"
 
@@ -8,6 +10,10 @@ namespace mpq {
 
 namespace {
 constexpr double kMinLatencyS = 1e-8;  // bucket 1 lower bound
+
+/// The quantiles a summary exports: label value and rank.
+constexpr std::pair<const char*, double> kQuantiles[] = {
+    {"0.5", 0.50}, {"0.95", 0.95}, {"0.99", 0.99}};
 
 std::string SeriesName(const std::string& name, const std::string& labels) {
   if (labels.empty()) return name;
@@ -20,14 +26,6 @@ std::string QuantileSeries(const std::string& name, const std::string& labels,
     return StrFormat("%s{quantile=\"%s\"}", name.c_str(), q);
   }
   return StrFormat("%s{%s,quantile=\"%s\"}", name.c_str(), labels.c_str(), q);
-}
-
-void AppendHeader(const std::string& name, const std::string& help,
-                  const char* type, std::string* out) {
-  out->append("# HELP " + name + " " + help + "\n");
-  out->append("# TYPE " + name + " ");
-  out->append(type);
-  out->append("\n");
 }
 
 }  // namespace
@@ -105,86 +103,102 @@ void LatencyHistogram::Reset() {
   sum_ns_.store(0, std::memory_order_relaxed);
 }
 
+MetricsRegistry::Series& MetricsRegistry::SeriesOf(const std::string& name,
+                                                   const std::string& help,
+                                                   MetricType type,
+                                                   const std::string& labels) {
+  auto [it, fresh] = families_.try_emplace(name);
+  Family& fam = it->second;
+  if (fresh) {
+    fam.type = type;
+    fam.help = help;
+  }
+  assert(fam.type == type && "a metric name has one type");
+  return fam.series[labels];
+}
+
 MetricCounter* MetricsRegistry::GetCounter(const std::string& name,
                                            const std::string& help,
                                            const std::string& labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family<MetricCounter>& fam = counters_[name];
-  if (fam.help.empty()) fam.help = help;
-  auto& slot = fam.series[labels];
-  if (slot == nullptr) slot = std::make_unique<MetricCounter>();
-  return slot.get();
+  Series& s = SeriesOf(name, help, MetricType::kCounter, labels);
+  if (s.counter == nullptr) s.counter = std::make_unique<MetricCounter>();
+  return s.counter.get();
 }
 
 MetricGauge* MetricsRegistry::GetGauge(const std::string& name,
                                        const std::string& help,
                                        const std::string& labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family<MetricGauge>& fam = gauges_[name];
-  if (fam.help.empty()) fam.help = help;
-  auto& slot = fam.series[labels];
-  if (slot == nullptr) slot = std::make_unique<MetricGauge>();
-  return slot.get();
+  Series& s = SeriesOf(name, help, MetricType::kGauge, labels);
+  if (s.gauge == nullptr) s.gauge = std::make_unique<MetricGauge>();
+  return s.gauge.get();
 }
 
 LatencyHistogram* MetricsRegistry::GetHistogram(const std::string& name,
                                                 const std::string& help,
                                                 const std::string& labels) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family<LatencyHistogram>& fam = histos_[name];
-  if (fam.help.empty()) fam.help = help;
-  auto& slot = fam.series[labels];
-  if (slot == nullptr) slot = std::make_unique<LatencyHistogram>();
-  return slot.get();
+  Series& s = SeriesOf(name, help, MetricType::kSummary, labels);
+  if (s.histogram == nullptr) {
+    s.histogram = std::make_unique<LatencyHistogram>();
+  }
+  return s.histogram.get();
 }
 
-void MetricsRegistry::AddCollector(std::function<void(std::string*)> fn) {
+void MetricsRegistry::AddReadFn(const std::string& name,
+                                const std::string& help, MetricType type,
+                                const std::string& labels,
+                                std::function<uint64_t()> read) {
   std::lock_guard<std::mutex> lock(mu_);
-  collectors_.push_back(std::move(fn));
+  SeriesOf(name, help, type, labels).read = std::move(read);
+}
+
+double MetricsRegistry::Value(const std::string& name,
+                              const std::string& labels) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto fam = families_.find(name);
+  if (fam == families_.end()) return 0;
+  auto it = fam->second.series.find(labels);
+  if (it == fam->second.series.end()) return 0;
+  const Series& s = it->second;
+  if (s.gauge != nullptr) return s.gauge->Value();
+  if (s.read) return static_cast<double>(s.read());
+  return s.counter != nullptr ? static_cast<double>(s.counter->Value()) : 0;
 }
 
 std::string MetricsRegistry::TextExposition() const {
+  static const char* const kTypeNames[] = {"counter", "gauge", "summary"};
   std::string out;
-  std::vector<std::function<void(std::string*)>> collectors;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, fam] : counters_) {
-      AppendHeader(name, fam.help, "counter", &out);
-      for (const auto& [labels, c] : fam.series) {
-        out.append(StrFormat("%s %llu\n", SeriesName(name, labels).c_str(),
-                             static_cast<unsigned long long>(c->Value())));
-      }
-    }
-    for (const auto& [name, fam] : gauges_) {
-      AppendHeader(name, fam.help, "gauge", &out);
-      for (const auto& [labels, g] : fam.series) {
-        out.append(StrFormat("%s %.17g\n", SeriesName(name, labels).c_str(),
-                             g->Value()));
-      }
-    }
-    for (const auto& [name, fam] : histos_) {
-      AppendHeader(name, fam.help, "summary", &out);
-      for (const auto& [labels, h] : fam.series) {
-        out.append(StrFormat("%s %.9g\n",
-                             QuantileSeries(name, labels, "0.5").c_str(),
-                             h->Quantile(0.50)));
-        out.append(StrFormat("%s %.9g\n",
-                             QuantileSeries(name, labels, "0.95").c_str(),
-                             h->Quantile(0.95)));
-        out.append(StrFormat("%s %.9g\n",
-                             QuantileSeries(name, labels, "0.99").c_str(),
-                             h->Quantile(0.99)));
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, fam] : families_) {
+    out.append("# HELP " + name + " " + fam.help + "\n");
+    out.append("# TYPE " + name + " ");
+    out.append(kTypeNames[static_cast<int>(fam.type)]);
+    out.append("\n");
+    for (const auto& [labels, s] : fam.series) {
+      if (const LatencyHistogram* h = s.histogram.get()) {
+        for (const auto& [q, p] : kQuantiles) {
+          out.append(StrFormat("%s %.9g\n",
+                               QuantileSeries(name, labels, q).c_str(),
+                               h->Quantile(p)));
+        }
         out.append(StrFormat("%s %.9g\n",
                              SeriesName(name + "_sum", labels).c_str(),
                              h->SumSeconds()));
         out.append(StrFormat(
             "%s %llu\n", SeriesName(name + "_count", labels).c_str(),
             static_cast<unsigned long long>(h->Count())));
+      } else if (s.gauge != nullptr) {
+        out.append(StrFormat("%s %.17g\n", SeriesName(name, labels).c_str(),
+                             s.gauge->Value()));
+      } else {
+        uint64_t v = s.read ? s.read() : s.counter->Value();
+        out.append(StrFormat("%s %llu\n", SeriesName(name, labels).c_str(),
+                             static_cast<unsigned long long>(v)));
       }
     }
-    collectors = collectors_;
   }
-  for (const auto& fn : collectors) fn(&out);
   return out;
 }
 

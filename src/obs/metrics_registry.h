@@ -1,10 +1,10 @@
-// Unified metrics registry: named counters, gauges and latency histograms
-// with a Prometheus-style text exposition. The serving layer's histograms
-// (LatencyHistogram, re-homed here from service/metrics.h) and counters all
-// surface through one TextExposition(), alongside free-form collectors for
-// subsystems that keep their own state (the plan cache, per-operator
-// profiles). Instrument handles are stable pointers — callers resolve a
-// metric once and update it with relaxed atomics, no lock on the hot path.
+// Unified metrics registry: named counters, gauges and latency histograms,
+// plus read-function series over state another subsystem owns (the plan
+// cache, the pool's morsel counts, per-operator profiles), all exported in
+// one Prometheus-style text exposition. The registry is the store: the
+// serving layer's snapshot (QueryService::Metrics) reads it back. Instrument
+// handles are stable pointers — callers resolve a metric once and update it
+// with relaxed atomics, no lock on the hot path.
 
 #ifndef MPQ_OBS_METRICS_REGISTRY_H_
 #define MPQ_OBS_METRICS_REGISTRY_H_
@@ -17,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace mpq {
 
@@ -35,6 +34,13 @@ class MetricCounter {
 class MetricGauge {
  public:
   void Set(double v) { v_.store(v, std::memory_order_relaxed); }
+  /// Raises the gauge to `v` when it is lower (a peak).
+  void SetMax(double v) {
+    double cur = v_.load(std::memory_order_relaxed);
+    while (cur < v &&
+           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   double Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -78,10 +84,14 @@ class LatencyHistogram {
   std::atomic<uint64_t> sum_ns_{0};
 };
 
+/// Exposition type of a metric family.
+enum class MetricType { kCounter, kGauge, kSummary };
+
 /// The registry. Get* registers on first use and returns the existing
 /// instrument on every later call with the same (name, labels); the pointer
-/// stays valid for the registry's lifetime. Registration takes a lock;
-/// instrument updates never do.
+/// stays valid for the registry's lifetime. A family's type and help come
+/// from its first registration. Registration takes a lock; instrument
+/// updates never do.
 class MetricsRegistry {
  public:
   /// `labels` is the literal label body, e.g. `op="join"` (empty = none).
@@ -95,26 +105,44 @@ class MetricsRegistry {
                                  const std::string& help,
                                  const std::string& labels = "");
 
-  /// Registers a callback that appends exposition lines (HELP/TYPE included,
-  /// newline-terminated) — for subsystems whose state lives elsewhere.
-  void AddCollector(std::function<void(std::string*)> collector);
+  /// Registers a counter or gauge series whose value lives elsewhere: the
+  /// registry calls `read` whenever it exports or reads the series. `read`
+  /// runs under the registry's lock, so it must not call back into the
+  /// registry. Registering (name, labels) again replaces the function.
+  void AddReadFn(const std::string& name, const std::string& help,
+                 MetricType type, const std::string& labels,
+                 std::function<uint64_t()> read);
 
-  /// The full Prometheus text exposition: families sorted by name, then
-  /// collector output in registration order.
+  /// The value of the counter, gauge or read-function series (name,
+  /// labels); 0 when none is registered.
+  double Value(const std::string& name, const std::string& labels = "") const;
+
+  /// The full Prometheus text exposition: one group per family, sorted by
+  /// name, its HELP and TYPE lines first and then every series sorted by
+  /// label body.
   std::string TextExposition() const;
 
  private:
-  template <typename T>
+  /// Each series holds exactly one instrument or read function.
+  struct Series {
+    std::unique_ptr<MetricCounter> counter;
+    std::unique_ptr<MetricGauge> gauge;
+    std::unique_ptr<LatencyHistogram> histogram;
+    std::function<uint64_t()> read;
+  };
   struct Family {
+    MetricType type = MetricType::kCounter;
     std::string help;
-    std::map<std::string, std::unique_ptr<T>> series;  // by label body
+    std::map<std::string, Series> series;  // by label body
   };
 
+  /// The series (name, labels), created with its family on first use.
+  /// Requires mu_.
+  Series& SeriesOf(const std::string& name, const std::string& help,
+                   MetricType type, const std::string& labels);
+
   mutable std::mutex mu_;
-  std::map<std::string, Family<MetricCounter>> counters_;    // by mu_
-  std::map<std::string, Family<MetricGauge>> gauges_;        // by mu_
-  std::map<std::string, Family<LatencyHistogram>> histos_;   // by mu_
-  std::vector<std::function<void(std::string*)>> collectors_;  // by mu_
+  std::map<std::string, Family> families_;  // by name; guarded by mu_
 };
 
 }  // namespace mpq

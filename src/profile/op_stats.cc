@@ -4,99 +4,77 @@
 
 namespace mpq {
 
+namespace {
+
+/// Index of `member` in kOpStatFields. For a field without a row the search
+/// reads past the list's end, which does not compile.
+constexpr size_t StatIndex(uint64_t OpCounterSnapshot::*member) {
+  size_t i = 0;
+  while (kOpStatFields[i].member != member) ++i;
+  return i;
+}
+
+constexpr size_t kCalls = StatIndex(&OpCounterSnapshot::calls);
+constexpr size_t kNs = StatIndex(&OpCounterSnapshot::ns);
+constexpr size_t kRowsIn = StatIndex(&OpCounterSnapshot::rows_in);
+constexpr size_t kRowsOut = StatIndex(&OpCounterSnapshot::rows_out);
+constexpr size_t kArenaBytes = StatIndex(&OpCounterSnapshot::arena_bytes);
+constexpr size_t kHomFolds = StatIndex(&OpCounterSnapshot::hom_folds);
+constexpr size_t kMorsels = StatIndex(&OpCounterSnapshot::morsels);
+
+}  // namespace
+
 void OpProfile::Record(OpKind kind, uint64_t ns, uint64_t rows_in,
                        uint64_t rows_out) {
-  Counter& c = ops_[static_cast<size_t>(kind)];
-  c.calls.fetch_add(1, std::memory_order_relaxed);
-  c.ns.fetch_add(ns, std::memory_order_relaxed);
-  c.rows_in.fetch_add(rows_in, std::memory_order_relaxed);
-  c.rows_out.fetch_add(rows_out, std::memory_order_relaxed);
+  auto& c = ops_[static_cast<size_t>(kind)];
+  c[kCalls].fetch_add(1, std::memory_order_relaxed);
+  c[kNs].fetch_add(ns, std::memory_order_relaxed);
+  c[kRowsIn].fetch_add(rows_in, std::memory_order_relaxed);
+  c[kRowsOut].fetch_add(rows_out, std::memory_order_relaxed);
 }
 
 void OpProfile::RecordDetail(OpKind kind, uint64_t arena_bytes,
                              uint64_t hom_folds) {
-  Counter& c = ops_[static_cast<size_t>(kind)];
-  c.arena_bytes.fetch_add(arena_bytes, std::memory_order_relaxed);
-  c.hom_folds.fetch_add(hom_folds, std::memory_order_relaxed);
+  auto& c = ops_[static_cast<size_t>(kind)];
+  c[kArenaBytes].fetch_add(arena_bytes, std::memory_order_relaxed);
+  c[kHomFolds].fetch_add(hom_folds, std::memory_order_relaxed);
 }
 
 void OpProfile::RecordMorsels(OpKind kind, uint64_t n) {
-  ops_[static_cast<size_t>(kind)].morsels.fetch_add(n,
-                                                    std::memory_order_relaxed);
+  ops_[static_cast<size_t>(kind)][kMorsels].fetch_add(
+      n, std::memory_order_relaxed);
 }
 
 void OpProfile::Merge(const OpProfileSnapshot& snap) {
-  for (size_t i = 0; i < kNumOpKinds; ++i) {
-    const OpCounterSnapshot& s = snap.ops[i];
-    if (s.calls == 0 && s.arena_bytes == 0 && s.hom_folds == 0 &&
-        s.morsels == 0) {
-      continue;
+  for (size_t k = 0; k < kNumOpKinds; ++k) {
+    for (size_t f = 0; f < kNumOpStats; ++f) {
+      uint64_t v = snap.ops[k].*kOpStatFields[f].member;
+      if (v != 0) ops_[k][f].fetch_add(v, std::memory_order_relaxed);
     }
-    Counter& c = ops_[i];
-    c.calls.fetch_add(s.calls, std::memory_order_relaxed);
-    c.ns.fetch_add(s.ns, std::memory_order_relaxed);
-    c.rows_in.fetch_add(s.rows_in, std::memory_order_relaxed);
-    c.rows_out.fetch_add(s.rows_out, std::memory_order_relaxed);
-    c.arena_bytes.fetch_add(s.arena_bytes, std::memory_order_relaxed);
-    c.hom_folds.fetch_add(s.hom_folds, std::memory_order_relaxed);
-    c.morsels.fetch_add(s.morsels, std::memory_order_relaxed);
   }
 }
 
 OpProfileSnapshot OpProfile::Snapshot() const {
   OpProfileSnapshot snap;
-  for (size_t i = 0; i < kNumOpKinds; ++i) {
-    snap.ops[i].calls = ops_[i].calls.load(std::memory_order_relaxed);
-    snap.ops[i].ns = ops_[i].ns.load(std::memory_order_relaxed);
-    snap.ops[i].rows_in = ops_[i].rows_in.load(std::memory_order_relaxed);
-    snap.ops[i].rows_out = ops_[i].rows_out.load(std::memory_order_relaxed);
-    snap.ops[i].arena_bytes =
-        ops_[i].arena_bytes.load(std::memory_order_relaxed);
-    snap.ops[i].hom_folds = ops_[i].hom_folds.load(std::memory_order_relaxed);
-    snap.ops[i].morsels = ops_[i].morsels.load(std::memory_order_relaxed);
+  for (size_t k = 0; k < kNumOpKinds; ++k) {
+    for (size_t f = 0; f < kNumOpStats; ++f) {
+      snap.ops[k].*kOpStatFields[f].member =
+          ops_[k][f].load(std::memory_order_relaxed);
+    }
   }
   return snap;
 }
 
-void OpProfile::Reset() {
-  for (Counter& c : ops_) {
-    c.calls.store(0, std::memory_order_relaxed);
-    c.ns.store(0, std::memory_order_relaxed);
-    c.rows_in.store(0, std::memory_order_relaxed);
-    c.rows_out.store(0, std::memory_order_relaxed);
-    c.arena_bytes.store(0, std::memory_order_relaxed);
-    c.hom_folds.store(0, std::memory_order_relaxed);
-    c.morsels.store(0, std::memory_order_relaxed);
-  }
-}
-
 void OpProfileSnapshot::WriteJson(JsonWriter* w) const {
   w->BeginObject();
-  for (size_t i = 0; i < kNumOpKinds; ++i) {
-    const OpCounterSnapshot& c = ops[i];
+  for (size_t k = 0; k < kNumOpKinds; ++k) {
+    const OpCounterSnapshot& c = ops[k];
     if (c.calls == 0) continue;
-    w->Key(OpKindName(static_cast<OpKind>(i)));
-    w->BeginObject()
-        .Key("calls")
-        .UInt(c.calls)
-        .Key("ns")
-        .UInt(c.ns)
-        .Key("rows_in")
-        .UInt(c.rows_in)
-        .Key("rows_out")
-        .UInt(c.rows_out);
-    if (c.arena_bytes != 0) w->Key("arena_bytes").UInt(c.arena_bytes);
-    if (c.hom_folds != 0) w->Key("hom_folds").UInt(c.hom_folds);
-    if (c.morsels != 0) w->Key("morsels").UInt(c.morsels);
+    w->Key(OpKindName(static_cast<OpKind>(k))).BeginObject();
+    for (const OpStatField& f : kOpStatFields) w->Key(f.key).UInt(c.*f.member);
     w->EndObject();
   }
   w->EndObject();
-}
-
-std::string OpProfileSnapshot::ToJson() const {
-  JsonWriter w;
-  WriteJson(&w);
-  return w.TakeString();
 }
 
 }  // namespace mpq

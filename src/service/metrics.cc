@@ -4,86 +4,20 @@
 
 namespace mpq {
 
+
 std::string ServiceMetrics::ToJson() const {
   JsonWriter w;
-  w.BeginObject()
-      .Key("queries")
-      .UInt(queries)
-      .Key("errors")
-      .UInt(errors)
-      .Key("cache_hits")
-      .UInt(cache_hits)
-      .Key("cache_misses")
-      .UInt(cache_misses)
-      .Key("cache_insertions")
-      .UInt(cache_insertions)
-      .Key("cache_evictions")
-      .UInt(cache_evictions)
-      .Key("cache_entries")
-      .UInt(cache_entries)
-      .Key("hit_rate")
-      .Double(hit_rate)
-      .Key("rows_returned")
-      .UInt(rows_returned)
-      .Key("transfer_bytes")
-      .UInt(transfer_bytes)
-      .Key("messages")
-      .UInt(messages)
-      .Key("admission_waits")
-      .UInt(admission_waits)
-      .Key("in_flight_peak")
-      .UInt(in_flight_peak)
-      .Key("async_queries")
-      .UInt(async_queries)
-      .Key("sheds")
-      .UInt(sheds)
-      .Key("cancelled")
-      .UInt(cancelled)
-      .Key("queue_depth_peak")
-      .UInt(queue_depth_peak)
-      .Key("morsels_executed")
-      .UInt(morsels_executed)
-      .Key("morsel_queue_depth")
-      .UInt(morsel_queue_depth)
-      .Key("failovers")
-      .UInt(failovers)
-      .Key("failover_retransfer_bytes")
-      .UInt(failover_retransfer_bytes)
-      .Key("writes")
-      .UInt(writes)
-      .Key("write_errors")
-      .UInt(write_errors)
-      .Key("rows_written")
-      .UInt(rows_written)
-      .Key("counter_ops")
-      .UInt(counter_ops)
-      .Key("snapshot_epoch")
-      .UInt(snapshot_epoch)
-      .Key("total_p50_ms")
-      .Double(total_p50_ms)
-      .Key("total_p95_ms")
-      .Double(total_p95_ms)
-      .Key("total_p99_ms")
-      .Double(total_p99_ms)
-      .Key("hit_p50_ms")
-      .Double(hit_p50_ms)
-      .Key("hit_p95_ms")
-      .Double(hit_p95_ms)
-      .Key("hit_p99_ms")
-      .Double(hit_p99_ms)
-      .Key("miss_p50_ms")
-      .Double(miss_p50_ms)
-      .Key("miss_p95_ms")
-      .Double(miss_p95_ms)
-      .Key("miss_p99_ms")
-      .Double(miss_p99_ms)
-      .Key("failover_p50_ms")
-      .Double(failover_p50_ms)
-      .Key("failover_p95_ms")
-      .Double(failover_p95_ms)
-      .Key("failover_p99_ms")
-      .Double(failover_p99_ms)
-      .Key("ops");
+  w.BeginObject();
+  for (const ServiceMetricDef& d : kServiceMetrics) {
+    w.Key(d.key).UInt(this->*d.field);
+  }
+  w.Key("hit_rate").Double(hit_rate);
+  for (const LatencyMetricDef& d : kLatencyMetrics) {
+    for (size_t q = 0; q < std::size(d.ms); ++q) {
+      w.Key(std::string(d.key) + kLatencySuffixes[q]).Double(this->*d.ms[q]);
+    }
+  }
+  w.Key("ops");
   ops.WriteJson(&w);
   w.EndObject();
   return w.TakeString();

@@ -23,6 +23,18 @@ using Clock = std::chrono::steady_clock;
 double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/// The kServiceMetrics row of field F. For a field without a row the search
+/// reads past the list's end, which does not compile.
+template <uint64_t ServiceMetrics::*F>
+const ServiceMetricDef& Row() {
+  constexpr size_t row = [] {
+    size_t i = 0;
+    while (kServiceMetrics[i].field != F) ++i;
+    return i;
+  }();
+  return kServiceMetrics[row];
+}
 }  // namespace
 
 size_t QueryService::PlanCacheKeyHash::operator()(
@@ -54,13 +66,12 @@ class QueryService::AdmissionSlot {
     std::unique_lock<std::mutex> lock(service_->admission_mu_);
     size_t cap = std::max<size_t>(1, service_->config_.max_in_flight);
     if (service_->in_flight_ >= cap) {
-      service_->admission_waits_++;
+      service_->admission_waits_->Inc();
       service_->admission_cv_.wait(
           lock, [&] { return service_->in_flight_ < cap; });
     }
     service_->in_flight_++;
-    service_->in_flight_peak_ =
-        std::max(service_->in_flight_peak_, service_->in_flight_);
+    service_->in_flight_peak_->SetMax(service_->in_flight_);
   }
 
   ~AdmissionSlot() {
@@ -89,116 +100,69 @@ QueryService::QueryService(const Catalog* catalog,
       topology_(topology),
       config_(config),
       cache_(config.cache_shards, config.cache_capacity_per_shard),
-      latency_total_(registry_.GetHistogram("mpq_query_latency_seconds",
-                                            "End-to-end Execute latency",
-                                            "outcome=\"total\"")),
-      latency_hit_(registry_.GetHistogram("mpq_query_latency_seconds",
-                                          "End-to-end Execute latency",
-                                          "outcome=\"hit\"")),
-      latency_miss_(registry_.GetHistogram("mpq_query_latency_seconds",
-                                           "End-to-end Execute latency",
-                                           "outcome=\"miss\"")),
-      latency_failover_(registry_.GetHistogram(
-          "mpq_failover_latency_seconds",
-          "Failure detection to recovered result", "")),
       tracer_(config.trace, config.trace_clock, config.trace_sink),
       slow_log_(config.slow_query_s) {
   if (config_.exec_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(config_.exec_threads);
   }
-  // Counters the service already keeps (atomics, cache stats, op profile)
-  // surface through one collector — a single source of truth instead of
-  // double-counting into registry instruments.
-  registry_.AddCollector([this](std::string* out) {
-    ServiceMetrics m = Metrics();
-    auto counter = [out](const char* name, const char* help, uint64_t v) {
-      out->append(StrFormat("# HELP %s %s\n# TYPE %s counter\n%s %llu\n",
-                            name, help, name, name,
-                            static_cast<unsigned long long>(v)));
-    };
-    counter("mpq_queries_total", "Executes that reached execution",
-            m.queries);
-    counter("mpq_errors_total", "Executes returning non-OK", m.errors);
-    counter("mpq_cache_hits_total", "Plan cache hits", m.cache_hits);
-    counter("mpq_cache_misses_total", "Plan cache misses", m.cache_misses);
-    counter("mpq_cache_evictions_total", "Plan cache evictions",
-            m.cache_evictions);
-    counter("mpq_rows_returned_total", "Result rows delivered",
-            m.rows_returned);
-    counter("mpq_transfer_bytes_total", "Bytes crossing assignee boundaries",
-            m.transfer_bytes);
-    counter("mpq_messages_total", "Fragment messages delivered", m.messages);
-    counter("mpq_admission_waits_total", "Executes that blocked on admission",
-            m.admission_waits);
-    counter("mpq_failovers_total", "Re-plans after provider failures",
-            m.failovers);
-    counter("mpq_failover_retransfer_bytes_total",
-            "Bytes moved again by recovery plans",
-            m.failover_retransfer_bytes);
-    counter("mpq_writes_total", "Write statements attempted", m.writes);
-    counter("mpq_write_errors_total", "Write statements returning non-OK",
-            m.write_errors);
-    counter("mpq_rows_written_total", "Rows inserted/updated/deleted",
-            m.rows_written);
-    counter("mpq_counter_ops_total", "MRV counter API calls", m.counter_ops);
-    counter("mpq_async_queries_total", "Async submissions accepted",
-            m.async_queries);
-    counter("mpq_sheds_total", "Async submissions rejected at the queue cap",
-            m.sheds);
-    counter("mpq_cancelled_total", "Async queries cancelled before execution",
-            m.cancelled);
-    counter("mpq_morsels_executed_total", "Morsels run by the pool",
-            m.morsels_executed);
-    out->append(StrFormat(
-        "# HELP mpq_morsel_queue_depth Morsels registered but not yet run\n"
-        "# TYPE mpq_morsel_queue_depth gauge\nmpq_morsel_queue_depth %llu\n",
-        static_cast<unsigned long long>(m.morsel_queue_depth)));
-    out->append(StrFormat(
-        "# HELP mpq_queue_depth_peak Peak in-flight plus queued queries\n"
-        "# TYPE mpq_queue_depth_peak gauge\nmpq_queue_depth_peak %llu\n",
-        static_cast<unsigned long long>(m.queue_depth_peak)));
-    out->append(StrFormat(
-        "# HELP mpq_snapshot_epoch Current table store snapshot id\n"
-        "# TYPE mpq_snapshot_epoch gauge\nmpq_snapshot_epoch %llu\n",
-        static_cast<unsigned long long>(m.snapshot_epoch)));
-    out->append(StrFormat(
-        "# HELP mpq_cache_entries Plans currently cached\n"
-        "# TYPE mpq_cache_entries gauge\nmpq_cache_entries %llu\n",
-        static_cast<unsigned long long>(m.cache_entries)));
-    // Per-operator engine counters, one labelled series per operator kind.
-    const char* kOpHeader =
-        "# HELP mpq_op_calls_total Operator executions\n"
-        "# TYPE mpq_op_calls_total counter\n"
-        "# HELP mpq_op_ns_total Wall nanoseconds inside operators\n"
-        "# TYPE mpq_op_ns_total counter\n"
-        "# HELP mpq_op_rows_in_total Operand rows consumed\n"
-        "# TYPE mpq_op_rows_in_total counter\n"
-        "# HELP mpq_op_rows_out_total Result rows produced\n"
-        "# TYPE mpq_op_rows_out_total counter\n"
-        "# HELP mpq_op_arena_bytes_total Operator scratch arena bytes\n"
-        "# TYPE mpq_op_arena_bytes_total counter\n"
-        "# HELP mpq_op_hom_folds_total Paillier ciphertexts folded\n"
-        "# TYPE mpq_op_hom_folds_total counter\n"
-        "# HELP mpq_op_morsels_total Morsel tasks enqueued per operator\n"
-        "# TYPE mpq_op_morsels_total counter\n";
-    out->append(kOpHeader);
-    for (size_t k = 0; k < kNumOpKinds; ++k) {
-      const OpCounterSnapshot& c = m.ops.ops[k];
-      if (c.calls == 0) continue;
-      const char* op = OpKindName(static_cast<OpKind>(k));
-      auto series = [&](const char* name, uint64_t v) {
-        out->append(StrFormat("%s{op=\"%s\"} %llu\n", name, op,
-                              static_cast<unsigned long long>(v)));
-      };
-      series("mpq_op_calls_total", c.calls);
-      series("mpq_op_ns_total", c.ns);
-      series("mpq_op_rows_in_total", c.rows_in);
-      series("mpq_op_rows_out_total", c.rows_out);
-      series("mpq_op_arena_bytes_total", c.arena_bytes);
-      series("mpq_op_hom_folds_total", c.hom_folds);
-      series("mpq_op_morsels_total", c.morsels);
-    }
+  // Every metric row becomes one registry series: an instrument this
+  // service updates, or a read function over state another subsystem owns.
+  using M = ServiceMetrics;
+  auto counter = [this](const ServiceMetricDef& d) {
+    return registry_.GetCounter(d.Name(), d.help);
+  };
+  auto gauge = [this](const ServiceMetricDef& d) {
+    return registry_.GetGauge(d.Name(), d.help);
+  };
+  auto read = [this](const ServiceMetricDef& d, std::function<uint64_t()> fn) {
+    registry_.AddReadFn(d.Name(), d.help, d.type, "", std::move(fn));
+  };
+  queries_ = counter(Row<&M::queries>());
+  errors_ = counter(Row<&M::errors>());
+  rows_returned_ = counter(Row<&M::rows_returned>());
+  transfer_bytes_ = counter(Row<&M::transfer_bytes>());
+  messages_ = counter(Row<&M::messages>());
+  failovers_ = counter(Row<&M::failovers>());
+  failover_retransfer_bytes_ = counter(Row<&M::failover_retransfer_bytes>());
+  async_queries_ = counter(Row<&M::async_queries>());
+  sheds_ = counter(Row<&M::sheds>());
+  cancelled_ = counter(Row<&M::cancelled>());
+  writes_ = counter(Row<&M::writes>());
+  write_errors_ = counter(Row<&M::write_errors>());
+  rows_written_ = counter(Row<&M::rows_written>());
+  counter_ops_ = counter(Row<&M::counter_ops>());
+  admission_waits_ = counter(Row<&M::admission_waits>());
+  in_flight_peak_ = gauge(Row<&M::in_flight_peak>());
+  queue_depth_peak_ = gauge(Row<&M::queue_depth_peak>());
+  read(Row<&M::cache_hits>(), [this] { return cache_.GetStats().hits; });
+  read(Row<&M::cache_misses>(), [this] { return cache_.GetStats().misses; });
+  read(Row<&M::cache_insertions>(),
+       [this] { return cache_.GetStats().insertions; });
+  read(Row<&M::cache_evictions>(),
+       [this] { return cache_.GetStats().evictions; });
+  read(Row<&M::cache_entries>(), [this] { return cache_.GetStats().entries; });
+  read(Row<&M::morsels_executed>(), [this] {
+    return pool_ != nullptr ? pool_->morsels_executed() : 0;
   });
+  read(Row<&M::morsel_queue_depth>(), [this] {
+    return pool_ != nullptr ? pool_->morsels_pending() : 0;
+  });
+  read(Row<&M::snapshot_epoch>(), [this] {
+    return config_.store != nullptr ? config_.store->snapshot_epoch() : 0;
+  });
+  for (size_t i = 0; i < latency_.size(); ++i) {
+    const LatencyMetricDef& d = kLatencyMetrics[i];
+    latency_[i] = registry_.GetHistogram(d.name, d.help, d.labels);
+  }
+  for (size_t k = 0; k < kNumOpKinds; ++k) {
+    const auto kind = static_cast<OpKind>(k);
+    const std::string labels = StrFormat("op=\"%s\"", OpKindName(kind));
+    for (size_t f = 0; f < kNumOpStats; ++f) {
+      registry_.AddReadFn(
+          kOpStatFields[f].Name(), kOpStatFields[f].help, MetricType::kCounter,
+          labels, [this, kind, f] { return op_profile_.Value(kind, f); });
+    }
+  }
 }
 
 QueryService::~QueryService() = default;
@@ -313,14 +277,13 @@ Result<std::shared_ptr<AsyncQuery>> QueryService::ExecuteAsync(
   {
     std::lock_guard<std::mutex> lock(admission_mu_);
     if (in_flight_ + async_queued_ >= cap) {
-      sheds_.fetch_add(1, std::memory_order_relaxed);
+      sheds_->Inc();
       return Status::Unavailable("service overloaded: request shed");
     }
     ++async_queued_;
-    queue_depth_peak_ =
-        std::max(queue_depth_peak_, in_flight_ + async_queued_);
+    queue_depth_peak_->SetMax(in_flight_ + async_queued_);
   }
-  async_queries_.fetch_add(1, std::memory_order_relaxed);
+  async_queries_->Inc();
 
   auto query = std::shared_ptr<AsyncQuery>(new AsyncQuery(pool_.get()));
   // The task owns copies of everything it touches: the handle may be
@@ -376,7 +339,7 @@ void QueryService::RunAsyncTask(std::shared_ptr<AsyncQuery> query,
   }
   if (cancelled) {
     if (admitted) ReleaseSlot();
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    cancelled_->Inc();
     return;
   }
   Result<QueryResponse> r =
@@ -392,7 +355,7 @@ bool QueryService::TryClaimSlot() {
   std::lock_guard<std::mutex> lock(admission_mu_);
   if (in_flight_ >= std::max<size_t>(1, config_.max_in_flight)) return false;
   in_flight_++;
-  in_flight_peak_ = std::max(in_flight_peak_, in_flight_);
+  in_flight_peak_->SetMax(in_flight_);
   return true;
 }
 
@@ -429,9 +392,9 @@ Result<WriteResult> QueryService::ExecuteWrite(const std::string& sql,
                                      /*node_id=*/-1,
                                      static_cast<int>(session.subject()))
                   : Span();
-  writes_.fetch_add(1, std::memory_order_relaxed);
+  writes_->Inc();
   auto fail = [&](const Status& st) -> Status {
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
+    write_errors_->Inc();
     if (root) {
       root.AnnStr("error", st.ToString());
       root.End();
@@ -450,7 +413,7 @@ Result<WriteResult> QueryService::ExecuteWrite(const std::string& sql,
   WriteExecutor writer(policy_, config_.store);
   auto result = writer.Execute(*bound, session.subject());
   if (!result.ok()) return fail(result.status());
-  rows_written_.fetch_add(result->rows_affected, std::memory_order_relaxed);
+  rows_written_->Inc(result->rows_affected);
   if (root) {
     root.AnnInt("rows_affected",
                 static_cast<int64_t>(result->rows_affected));
@@ -517,7 +480,7 @@ Status QueryService::CounterAttach(const std::string& rel_name,
         StrFormat("relation %s has no column %s", rel_name.c_str(),
                   key_col.c_str()));
   }
-  counter_ops_.fetch_add(1, std::memory_order_relaxed);
+  counter_ops_->Inc();
   return config_.store->MrvAttach(target.first, key_idx, key, target.second,
                                   num_records);
 }
@@ -527,7 +490,7 @@ Status QueryService::CounterAdd(const std::string& rel_name,
                                 int64_t delta, const Session& session) {
   MPQ_ASSIGN_OR_RETURN(auto target,
                        ResolveCounterColumn(rel_name, value_col, session));
-  counter_ops_.fetch_add(1, std::memory_order_relaxed);
+  counter_ops_->Inc();
   return config_.store->MrvAdd(target.first, target.second, key, delta);
 }
 
@@ -536,7 +499,7 @@ Status QueryService::CounterSub(const std::string& rel_name,
                                 int64_t delta, const Session& session) {
   MPQ_ASSIGN_OR_RETURN(auto target,
                        ResolveCounterColumn(rel_name, value_col, session));
-  counter_ops_.fetch_add(1, std::memory_order_relaxed);
+  counter_ops_->Inc();
   return config_.store->MrvSub(target.first, target.second, key, delta);
 }
 
@@ -546,7 +509,7 @@ Result<int64_t> QueryService::CounterTotal(const std::string& rel_name,
                                            const Session& session) const {
   MPQ_ASSIGN_OR_RETURN(auto target,
                        ResolveCounterColumn(rel_name, value_col, session));
-  counter_ops_.fetch_add(1, std::memory_order_relaxed);
+  counter_ops_->Inc();
   return config_.store->MrvTotal(target.first, target.second, key);
 }
 
@@ -689,11 +652,11 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   if (session.subject() == kInvalidSubject ||
       session.subject() >= subjects_->size()) {
     if (preadmitted) ReleaseSlot();
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_->Inc();
     return Status::InvalidArgument("execute without a valid session");
   }
   AdmissionSlot slot(this, /*adopt=*/preadmitted);
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  queries_->Inc();
 
   // Tracing is observation-only: nothing below reads `trace`, so a traced
   // run is bit-identical to an untraced one. Off is the common case and
@@ -742,7 +705,7 @@ Result<QueryResponse> QueryService::ExecuteInternal(
                           key.policy_epoch, key.catalog_version, trace.get(),
                           root_span);
     if (!built.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      errors_->Inc();
       if (root) root.AnnStr("error", built.status().ToString());
       return built.status();
     }
@@ -822,10 +785,9 @@ Result<QueryResponse> QueryService::ExecuteInternal(
       planned_cost_usd = outcome_ptr->assignment.exact_cost.total_usd();
       plan_epoch = policy_->epoch();
       plan_catalog_version = catalog_->version();
-      failovers_.fetch_add(failovers, std::memory_order_relaxed);
-      failover_retransfer_bytes_.fetch_add(retransfer_bytes,
-                                           std::memory_order_relaxed);
-      latency_failover_->Record(failover_latency_s);
+      failovers_->Inc(failovers);
+      failover_retransfer_bytes_->Inc(retransfer_bytes);
+      latency_[kFailoverLatency]->Record(failover_latency_s);
       // The result moves out; the outcome keeps the recovered assignment
       // alive for EXPLAIN ANALYZE's predicted-vs-observed rendering.
       run = std::move(outcome_ptr->result);
@@ -836,20 +798,19 @@ Result<QueryResponse> QueryService::ExecuteInternal(
   }
 
   if (!run.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    errors_->Inc();
     if (root) root.AnnStr("error", run.status().ToString());
     return run.status();
   }
   double exec_s = SecondsSince(t1);
   double total_s = SecondsSince(t0);
 
-  rows_returned_.fetch_add(run->result.num_rows(), std::memory_order_relaxed);
-  transfer_bytes_.fetch_add(run->total_transfer_bytes,
-                            std::memory_order_relaxed);
-  messages_.fetch_add(run->num_messages, std::memory_order_relaxed);
-  latency_total_->Record(total_s);
-  (outcome == CacheOutcome::kHit ? latency_hit_ : latency_miss_)
-      ->Record(total_s);
+  rows_returned_->Inc(run->result.num_rows());
+  transfer_bytes_->Inc(run->total_transfer_bytes);
+  messages_->Inc(run->num_messages);
+  latency_[kTotalLatency]->Record(total_s);
+  latency_[outcome == CacheOutcome::kHit ? kHitLatency : kMissLatency]->Record(
+      total_s);
   slow_log_.Record(statement_digest, normalized_sql, total_s,
                    trace != nullptr ? trace->trace_id() : 0);
 
@@ -931,56 +892,19 @@ Result<ExplainAnalyzeReport> QueryService::ExplainAnalyzeSql(
 
 ServiceMetrics QueryService::Metrics() const {
   ServiceMetrics m;
-  m.queries = queries_.load(std::memory_order_relaxed);
-  m.errors = errors_.load(std::memory_order_relaxed);
-  auto cache_stats = cache_.GetStats();
-  m.cache_hits = cache_stats.hits;
-  m.cache_misses = cache_stats.misses;
-  m.cache_insertions = cache_stats.insertions;
-  m.cache_evictions = cache_stats.evictions;
-  m.cache_entries = cache_stats.entries;
-  uint64_t lookups = cache_stats.hits + cache_stats.misses;
-  m.hit_rate = lookups == 0
-                   ? 0
-                   : static_cast<double>(cache_stats.hits) /
-                         static_cast<double>(lookups);
-  m.rows_returned = rows_returned_.load(std::memory_order_relaxed);
-  m.transfer_bytes = transfer_bytes_.load(std::memory_order_relaxed);
-  m.messages = messages_.load(std::memory_order_relaxed);
-  m.failovers = failovers_.load(std::memory_order_relaxed);
-  m.failover_retransfer_bytes =
-      failover_retransfer_bytes_.load(std::memory_order_relaxed);
-  m.writes = writes_.load(std::memory_order_relaxed);
-  m.write_errors = write_errors_.load(std::memory_order_relaxed);
-  m.rows_written = rows_written_.load(std::memory_order_relaxed);
-  m.counter_ops = counter_ops_.load(std::memory_order_relaxed);
-  m.snapshot_epoch =
-      config_.store != nullptr ? config_.store->snapshot_epoch() : 0;
-  {
-    std::lock_guard<std::mutex> lock(admission_mu_);
-    m.admission_waits = admission_waits_;
-    m.in_flight_peak = in_flight_peak_;
-    m.queue_depth_peak = queue_depth_peak_;
+  for (const ServiceMetricDef& d : kServiceMetrics) {
+    m.*d.field = static_cast<uint64_t>(registry_.Value(d.Name()));
   }
-  m.async_queries = async_queries_.load(std::memory_order_relaxed);
-  m.sheds = sheds_.load(std::memory_order_relaxed);
-  m.cancelled = cancelled_.load(std::memory_order_relaxed);
-  if (pool_ != nullptr) {
-    m.morsels_executed = pool_->morsels_executed();
-    m.morsel_queue_depth = pool_->morsels_pending();
+  uint64_t lookups = m.cache_hits + m.cache_misses;
+  m.hit_rate = lookups == 0 ? 0
+                            : static_cast<double>(m.cache_hits) /
+                                  static_cast<double>(lookups);
+  for (size_t i = 0; i < latency_.size(); ++i) {
+    for (size_t q = 0; q < std::size(kLatencyRanks); ++q) {
+      m.*kLatencyMetrics[i].ms[q] =
+          latency_[i]->Quantile(kLatencyRanks[q]) * 1e3;
+    }
   }
-  m.total_p50_ms = latency_total_->Quantile(0.50) * 1e3;
-  m.total_p95_ms = latency_total_->Quantile(0.95) * 1e3;
-  m.total_p99_ms = latency_total_->Quantile(0.99) * 1e3;
-  m.hit_p50_ms = latency_hit_->Quantile(0.50) * 1e3;
-  m.hit_p95_ms = latency_hit_->Quantile(0.95) * 1e3;
-  m.hit_p99_ms = latency_hit_->Quantile(0.99) * 1e3;
-  m.miss_p50_ms = latency_miss_->Quantile(0.50) * 1e3;
-  m.miss_p95_ms = latency_miss_->Quantile(0.95) * 1e3;
-  m.miss_p99_ms = latency_miss_->Quantile(0.99) * 1e3;
-  m.failover_p50_ms = latency_failover_->Quantile(0.50) * 1e3;
-  m.failover_p95_ms = latency_failover_->Quantile(0.95) * 1e3;
-  m.failover_p99_ms = latency_failover_->Quantile(0.99) * 1e3;
   m.ops = op_profile_.Snapshot();
   return m;
 }

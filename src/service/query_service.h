@@ -16,6 +16,7 @@
 #ifndef MPQ_SERVICE_QUERY_SERVICE_H_
 #define MPQ_SERVICE_QUERY_SERVICE_H_
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -279,18 +280,16 @@ class QueryService {
   Result<ExplainAnalyzeReport> ExplainAnalyzeSql(const std::string& sql,
                                                  const Session& session);
 
-  /// Point-in-time counters and latency percentiles.
+  /// Point-in-time counters and latency percentiles, read from the registry
+  /// row by row.
   ServiceMetrics Metrics() const;
 
   /// Metrics as a JSON object.
   std::string MetricsJson() const;
 
-  /// Prometheus-style text exposition of the unified registry: latency
-  /// summaries, serving counters, cache state, and per-operator counters.
+  /// Prometheus-style text exposition of the registry: latency summaries,
+  /// serving counters, cache state, and per-operator counters.
   std::string MetricsText() const { return registry_.TextExposition(); }
-
-  /// The unified registry (for registering extra collectors in embedders).
-  MetricsRegistry* registry() { return &registry_; }
 
   /// Slow queries observed so far, keyed by normalized-SQL digest.
   const SlowQueryLog& slow_queries() const { return slow_log_; }
@@ -432,46 +431,44 @@ class QueryService {
   mutable std::mutex admission_mu_;
   std::condition_variable admission_cv_;
   size_t in_flight_ = 0;          // guarded by admission_mu_
-  size_t in_flight_peak_ = 0;     // guarded by admission_mu_
-  uint64_t admission_waits_ = 0;  // guarded by admission_mu_
   /// Async queries accepted but not yet running (their pool task has not
   /// started). in_flight_ + async_queued_ is the shed-decision depth.
   size_t async_queued_ = 0;       // guarded by admission_mu_
-  size_t queue_depth_peak_ = 0;   // guarded by admission_mu_
 
-  // Metrics.
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> rows_returned_{0};
-  std::atomic<uint64_t> transfer_bytes_{0};
-  std::atomic<uint64_t> messages_{0};
-  std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> failover_retransfer_bytes_{0};
-  std::atomic<uint64_t> sheds_{0};          ///< Async submissions rejected.
-  std::atomic<uint64_t> async_queries_{0};  ///< Async submissions accepted.
-  std::atomic<uint64_t> cancelled_{0};      ///< Cancelled before execution.
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> write_errors_{0};
-  std::atomic<uint64_t> rows_written_{0};
-  /// mutable: CounterTotal is a logically-const read but still counts.
-  mutable std::atomic<uint64_t> counter_ops_{0};
   std::atomic<uint64_t> next_session_id_{1};
   std::atomic<uint64_t> next_statement_id_{1};
   /// Runtimes built so far (cached plans and failover recoveries); each
   /// build draws a fresh number for its nonce or key seed.
   std::atomic<uint64_t> runtime_builds_{0};
   /// Per-operator timing/row counters, shared by every runtime this service
-  /// builds (cached plans included).
+  /// builds (cached plans included); the registry reads them at export.
   OpProfile op_profile_;
-  /// The unified registry. The latency histograms live in it (stable
-  /// pointers resolved once in the constructor); counters the service keeps
-  /// as plain atomics surface through a collector instead of being
-  /// duplicated into registry instruments.
+
+  /// The metrics store: one series per kServiceMetrics, kLatencyMetrics and
+  /// (kOpStatFields, operator kind) row. The service resolves the
+  /// instruments it updates once, in the constructor; the rest are read
+  /// functions over the plan cache, the pool, the store and op_profile_.
   MetricsRegistry registry_;
-  LatencyHistogram* latency_total_;
-  LatencyHistogram* latency_hit_;
-  LatencyHistogram* latency_miss_;
-  LatencyHistogram* latency_failover_;
+  MetricCounter* queries_ = nullptr;
+  MetricCounter* errors_ = nullptr;
+  MetricCounter* rows_returned_ = nullptr;
+  MetricCounter* transfer_bytes_ = nullptr;
+  MetricCounter* messages_ = nullptr;
+  MetricCounter* failovers_ = nullptr;
+  MetricCounter* failover_retransfer_bytes_ = nullptr;
+  MetricCounter* async_queries_ = nullptr;
+  MetricCounter* sheds_ = nullptr;
+  MetricCounter* cancelled_ = nullptr;
+  MetricCounter* writes_ = nullptr;
+  MetricCounter* write_errors_ = nullptr;
+  MetricCounter* rows_written_ = nullptr;
+  MetricCounter* counter_ops_ = nullptr;
+  // Updated under admission_mu_.
+  MetricCounter* admission_waits_ = nullptr;
+  MetricGauge* in_flight_peak_ = nullptr;
+  MetricGauge* queue_depth_peak_ = nullptr;
+  /// By LatencyRow.
+  std::array<LatencyHistogram*, std::size(kLatencyMetrics)> latency_{};
   Tracer tracer_;
   SlowQueryLog slow_log_;
 };

@@ -325,13 +325,14 @@ TEST(ColumnCodecKernelTest, KernelsEqualPerCellPathOnEveryShape) {
                        std::to_string(sp.begin) + " len=" +
                        std::to_string(sp.len));
           const size_t end = sp.begin + sp.len;
-          // Reference: per-row EncryptValue (a NULL under OPE is a NULL
-          // row), the first failing row's status.
+          // Reference: per-row EncryptValue (a NULL under OPE or Paillier
+          // is a NULL row), the first failing row's status.
           ColumnData want(ColumnRep::kEnc);
           Status want_st;
           for (size_t r = sp.begin; r < end && want_st.ok(); ++r) {
             Value v = src.GetValue(r);
-            if (scheme == EncScheme::kOpe && v.is_null()) {
+            if ((scheme == EncScheme::kOpe || scheme == EncScheme::kPaillier) &&
+                v.is_null()) {
               want.AppendNull();
               continue;
             }

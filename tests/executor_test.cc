@@ -240,6 +240,50 @@ TEST_F(ExecutorTest, HomomorphicSumGroupedMatchesPlaintext) {
   EXPECT_EQ(t->num_rows(), 4u);
 }
 
+TEST_F(ExecutorTest, HomomorphicSumAndAvgSkipNullRows) {
+  // A NULL under Paillier encrypts to a NULL row: the encrypted SUM and AVG
+  // equal the plaintext plan's, the all-NULL group included.
+  PlanBuilder b = ex_->builder();
+  ins_ = MakeBaseTable(ex_->catalog.Get(ex_->ins));
+  auto I64 = [](int64_t v) { return Cell(Value(v)); };
+  ins_.AddRow({I64(100), Cell(Value(120.0))});
+  ins_.AddRow({I64(100), Cell(Value::Null())});
+  ins_.AddRow({I64(101), Cell(Value::Null())});
+  ins_.AddRow({I64(102), Cell(Value(200.0))});
+  crypto_.scheme_of[b.A("P")] = EncScheme::kPaillier;
+  for (AggFunc func : {AggFunc::kSum, AggFunc::kAvg}) {
+    SCOPED_TRACE(AggFuncName(func));
+    auto plan = [&](bool encrypted) {
+      PlanPtr in = b.Rel("Ins");
+      if (encrypted) in = Encrypt(std::move(in), b.Set("P"));
+      PlanPtr gb = GroupBy(std::move(in), b.Set("C"),
+                           {Aggregate::Make(func, b.A("P"))});
+      return Finish(encrypted ? Decrypt(std::move(gb), b.Set("P"))
+                              : std::move(gb));
+    };
+    PlanPtr enc = plan(true);
+    PlanPtr plain = plan(false);
+    Result<Table> got = ExecutePlan(enc.get(), &ctx_);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    Result<Table> want = ExecutePlan(plain.get(), &ctx_);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(got->num_rows(), 3u) << got->ToString();
+    ASSERT_EQ(want->num_rows(), 3u) << want->ToString();
+    for (size_t r = 0; r < 3; ++r) {
+      const Cell& g = got->row(r)[1];
+      const Value& w = want->row(r)[1].plain();
+      ASSERT_TRUE(g.is_plain()) << got->ToString();
+      ASSERT_EQ(g.plain().is_null(), w.is_null()) << got->ToString();
+      if (!w.is_null()) {
+        EXPECT_NEAR(g.plain().AsDouble(), w.AsDouble(), 1e-3)
+            << got->ToString();
+      }
+    }
+    EXPECT_NEAR(got->row(0)[1].plain().AsDouble(), 120.0, 1e-3);
+    EXPECT_NEAR(got->row(2)[1].plain().AsDouble(), 200.0, 1e-3);
+  }
+}
+
 TEST_F(ExecutorTest, LazyHomFoldBitIdenticalToEagerCellPathAcrossThreads) {
   PlanBuilder b = ex_->builder();
   crypto_.scheme_of[b.A("P")] = EncScheme::kPaillier;

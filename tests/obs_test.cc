@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -44,6 +45,10 @@ using testing::PaperExample;
 
 // ---------------------------------------------------------------- helpers ---
 
+constexpr const char* kPaperSql =
+    "select T, avg(P) from Hosp join Ins on S = C "
+    "where D = 'stroke' group by T having avg(P) > 100";
+
 /// Quote-aware structural check: braces/brackets balance and depth never
 /// goes negative. Not a full parser, but catches truncated or interleaved
 /// writer output.
@@ -71,13 +76,27 @@ bool JsonBalanced(const std::string& s) {
   return depth == 0 && !in_str;
 }
 
-/// Asserts every line of a Prometheus text exposition is either a
-/// `# HELP name text`, a `# TYPE name counter|gauge|summary`, or a
-/// `series value` sample where `series` is `name` or `name{label="v",…}`
-/// and `value` parses as a double.
+/// Asserts `text` is a well-formed Prometheus text exposition. Every line
+/// is a `# HELP name text`, a `# TYPE name counter|gauge|summary`, or a
+/// `series value` sample where `series` is `name` or `name{label="v",…}` and
+/// `value` parses as a double. Each family is one group: its HELP and TYPE
+/// appear at most once and before its first sample, and its samples are
+/// contiguous. `_sum`, `_count` and `quantile=` appear only under a
+/// `summary` TYPE.
 void ExpectPrometheusGrammar(const std::string& text) {
-  size_t pos = 0;
+  std::map<std::string, std::string> type_of;  // family -> TYPE
+  std::set<std::string> helped, sampled, closed;
+  std::string current;  // the family whose group is being read
   int line_no = 0;
+  auto enter = [&](const std::string& family) {
+    if (family == current) return;
+    EXPECT_EQ(closed.count(family), 0u)
+        << "line " << line_no << ": family " << family
+        << " is split into more than one group";
+    if (!current.empty()) closed.insert(current);
+    current = family;
+  };
+  size_t pos = 0;
   while (pos < text.size()) {
     size_t eol = text.find('\n', pos);
     ASSERT_NE(eol, std::string::npos) << "exposition not newline-terminated";
@@ -86,15 +105,26 @@ void ExpectPrometheusGrammar(const std::string& text) {
     ++line_no;
     if (line.empty()) continue;
     if (line[0] == '#') {
-      EXPECT_TRUE(line.rfind("# HELP ", 0) == 0 ||
-                  line.rfind("# TYPE ", 0) == 0)
+      const bool help = line.rfind("# HELP ", 0) == 0;
+      const bool type = line.rfind("# TYPE ", 0) == 0;
+      ASSERT_TRUE(help || type) << "line " << line_no << ": " << line;
+      size_t name_end = line.find(' ', 7);
+      ASSERT_NE(name_end, std::string::npos)
           << "line " << line_no << ": " << line;
-      if (line.rfind("# TYPE ", 0) == 0) {
-        EXPECT_TRUE(line.find(" counter") != std::string::npos ||
-                    line.find(" gauge") != std::string::npos ||
-                    line.find(" summary") != std::string::npos)
+      std::string family = line.substr(7, name_end - 7);
+      EXPECT_EQ(sampled.count(family), 0u)
+          << "line " << line_no << ": HELP/TYPE after a sample: " << line;
+      if (help) {
+        EXPECT_TRUE(helped.insert(family).second)
+            << "line " << line_no << ": second HELP: " << line;
+      } else {
+        std::string kind = line.substr(name_end + 1);
+        EXPECT_TRUE(kind == "counter" || kind == "gauge" || kind == "summary")
             << "line " << line_no << ": " << line;
+        EXPECT_TRUE(type_of.emplace(family, kind).second)
+            << "line " << line_no << ": second TYPE: " << line;
       }
+      enter(family);
       continue;
     }
     size_t sp = line.rfind(' ');
@@ -110,6 +140,25 @@ void ExpectPrometheusGrammar(const std::string& text) {
     char* end = nullptr;
     std::strtod(value.c_str(), &end);
     EXPECT_EQ(*end, '\0') << "line " << line_no << ": bad value " << value;
+    // A summary's _sum and _count samples belong to the summary's family.
+    std::string name = series.substr(0, brace);
+    std::string family = name;
+    for (const std::string suffix : {"_sum", "_count"}) {
+      if (type_of.count(name) == 0 && name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        family = name.substr(0, name.size() - suffix.size());
+        EXPECT_EQ(type_of[family], "summary")
+            << "line " << line_no << ": " << suffix
+            << " outside a summary: " << line;
+      }
+    }
+    if (series.find("quantile=") != std::string::npos) {
+      EXPECT_EQ(type_of[family], "summary")
+          << "line " << line_no << ": quantile outside a summary: " << line;
+    }
+    sampled.insert(family);
+    enter(family);
   }
 }
 
@@ -238,11 +287,14 @@ TEST(MetricsRegistryTest, InstrumentsAreStablePerNameAndLabels) {
 }
 
 TEST(MetricsRegistryTest, ConcurrentUpdatesRegistrationAndExposition) {
-  // TSan target (this suite is labeled quick): registration races with
-  // updates, collector installation, and exposition from many threads.
+  // TSan target (this suite is labeled quick): registration of instruments
+  // and read functions races with updates and exposition from many
+  // threads; then a service's Metrics() and MetricsText() race with
+  // Executes on other threads.
   MetricsRegistry reg;
   constexpr int kThreads = 8;
   constexpr int kIters = 2000;
+  std::atomic<uint64_t> source{0};
   std::atomic<uint64_t> expositions{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -255,10 +307,10 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesRegistrationAndExposition) {
         reg.GetHistogram("h_seconds", "h", "")->Record(1e-4 * (t + 1));
         reg.GetGauge("g", "g", "")->Set(static_cast<double>(i));
         if (i % 500 == 0) {
-          reg.AddCollector([](std::string* out) {
-            out->append("# HELP x_total x\n# TYPE x_total counter\n");
-            out->append("x_total 1\n");
-          });
+          reg.AddReadFn("x_total", "x", MetricType::kCounter,
+                        "t=\"" + std::to_string(t) + "\"",
+                        [&source] { return source.load(); });
+          source.fetch_add(1);
           std::string text = reg.TextExposition();
           if (!text.empty()) expositions.fetch_add(1);
         }
@@ -271,8 +323,46 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesRegistrationAndExposition) {
   EXPECT_EQ(even + odd, static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(reg.GetHistogram("h_seconds", "h", "")->Count(),
             static_cast<uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(reg.Value("x_total", "t=\"3\""), kThreads * (kIters / 500));
   EXPECT_GT(expositions.load(), 0u);
   ExpectPrometheusGrammar(reg.TextExposition());
+
+  auto ex = MakePaperExample();
+  PricingTable prices = PricingTable::PaperDefaults(ex->subjects);
+  Topology topo = Topology::PaperDefaults(ex->subjects);
+  Table hosp = ex->HospData();
+  Table ins = ex->InsData();
+  ServiceConfig config;
+  config.exec_threads = 2;
+  QueryService service(&ex->catalog, &ex->subjects, ex->policy.get(),
+                       &prices, &topo, config);
+  service.LoadTable(ex->hosp, &hosp);
+  service.LoadTable(ex->ins, &ins);
+  auto session = service.OpenSession(ex->U);
+  ASSERT_TRUE(session.ok());
+  constexpr int kExecutors = 2;
+  constexpr int kQueries = 8;
+  std::atomic<int> executing{kExecutors};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kExecutors; ++t) {
+    workers.emplace_back([&] {
+      for (int i = 0; i < kQueries; ++i) {
+        EXPECT_TRUE(service.ExecuteSql(kPaperSql, *session).ok());
+      }
+      executing.fetch_sub(1);
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    workers.emplace_back([&] {
+      do {
+        ServiceMetrics m = service.Metrics();
+        EXPECT_LE(m.queries, uint64_t{kExecutors * kQueries});
+        ExpectPrometheusGrammar(service.MetricsText());
+      } while (executing.load() > 0);
+    });
+  }
+  for (auto& th : workers) th.join();
+  EXPECT_EQ(service.Metrics().queries, uint64_t{kExecutors * kQueries});
 }
 
 // --------------------------------------------------------- SlowQueryLog ---
@@ -386,10 +476,6 @@ TEST(TraceTest, InertSpanIsANoOpAndDisabledTracerHandsOutNothing) {
 }
 
 // ------------------------------------------------- service (paper example) ---
-
-constexpr const char* kPaperSql =
-    "select T, avg(P) from Hosp join Ins on S = C "
-    "where D = 'stroke' group by T having avg(P) > 100";
 
 class ObsServiceTest : public ::testing::Test {
  protected:
@@ -537,6 +623,82 @@ TEST_F(ObsServiceTest, SlowQueryLogAndMetricsTextCoverExecutes) {
   EXPECT_NE(text.find("mpq_op_calls_total{op=\"base\"}"), std::string::npos)
       << text;
   EXPECT_NE(text.find("mpq_cache_entries"), std::string::npos) << text;
+}
+
+TEST_F(ObsServiceTest, JsonAndTextExportEveryIntegerMetric) {
+  // Every integer ServiceMetrics field, as this test enumerates them, except
+  // the always-zero scan_leads / scan_attaches: each has a row in the one
+  // metrics list and appears with the same value in the JSON (under its
+  // key) and in the exposition (under its series name and type).
+  using M = ServiceMetrics;
+  const std::pair<const char*, uint64_t M::*> fields[] = {
+      {"queries", &M::queries},
+      {"errors", &M::errors},
+      {"cache_hits", &M::cache_hits},
+      {"cache_misses", &M::cache_misses},
+      {"cache_insertions", &M::cache_insertions},
+      {"cache_evictions", &M::cache_evictions},
+      {"cache_entries", &M::cache_entries},
+      {"rows_returned", &M::rows_returned},
+      {"transfer_bytes", &M::transfer_bytes},
+      {"messages", &M::messages},
+      {"admission_waits", &M::admission_waits},
+      {"in_flight_peak", &M::in_flight_peak},
+      {"async_queries", &M::async_queries},
+      {"sheds", &M::sheds},
+      {"cancelled", &M::cancelled},
+      {"queue_depth_peak", &M::queue_depth_peak},
+      {"morsels_executed", &M::morsels_executed},
+      {"morsel_queue_depth", &M::morsel_queue_depth},
+      {"failovers", &M::failovers},
+      {"failover_retransfer_bytes", &M::failover_retransfer_bytes},
+      {"writes", &M::writes},
+      {"write_errors", &M::write_errors},
+      {"rows_written", &M::rows_written},
+      {"counter_ops", &M::counter_ops},
+      {"snapshot_epoch", &M::snapshot_epoch},
+  };
+  ServiceConfig config;
+  config.exec_threads = 2;
+  auto service = MakeService(config);
+  auto session = service->OpenSession(ex_->U);
+  ASSERT_TRUE(session.ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(service->ExecuteSql(kPaperSql, *session).ok());
+  }
+  const ServiceMetrics m = service->Metrics();
+  const std::string json = service->MetricsJson();
+  const std::string text = service->MetricsText();
+  EXPECT_EQ(m.queries, 2u);
+  EXPECT_EQ(m.cache_insertions, 1u);
+  EXPECT_EQ(m.in_flight_peak, 1u);
+  EXPECT_EQ(std::size(kServiceMetrics), std::size(fields));
+  for (const auto& [key, field] : fields) {
+    SCOPED_TRACE(key);
+    const ServiceMetricDef* row = nullptr;
+    for (const ServiceMetricDef& d : kServiceMetrics) {
+      if (d.field == field) row = &d;
+    }
+    ASSERT_NE(row, nullptr) << "no metrics-list row";
+    EXPECT_STREQ(row->key, key);
+    const std::string value = std::to_string(m.*field);
+    const std::string name = row->Name();
+    const std::string json_entry = "\"" + std::string(key) + "\":" + value;
+    size_t at = json.find(json_entry);
+    ASSERT_NE(at, std::string::npos) << json_entry << " in " << json;
+    EXPECT_TRUE(json[at + json_entry.size()] == ',' ||
+                json[at + json_entry.size()] == '}')
+        << json_entry << " in " << json;
+    EXPECT_NE(text.find("\n" + name + " " + value + "\n"), std::string::npos)
+        << name << " " << value << " in\n"
+        << text;
+    const char* type = row->type == MetricType::kCounter ? "counter" : "gauge";
+    EXPECT_NE(text.find("# TYPE " + name + " " + type + "\n"),
+              std::string::npos)
+        << name << " in\n"
+        << text;
+  }
+  ExpectPrometheusGrammar(text);
 }
 
 // -------------------------------------------------------- failover traces ---
