@@ -270,8 +270,8 @@ TEST_F(ExecutorTest, HomomorphicSumAndAvgSkipNullRows) {
     ASSERT_EQ(got->num_rows(), 3u) << got->ToString();
     ASSERT_EQ(want->num_rows(), 3u) << want->ToString();
     for (size_t r = 0; r < 3; ++r) {
-      const Cell& g = got->row(r)[1];
-      const Value& w = want->row(r)[1].plain();
+      const Cell g = got->row(r)[1];  // row() returns the cells by value
+      const Value w = want->row(r)[1].plain();
       ASSERT_TRUE(g.is_plain()) << got->ToString();
       ASSERT_EQ(g.plain().is_null(), w.is_null()) << got->ToString();
       if (!w.is_null()) {
